@@ -51,7 +51,7 @@ print(f"  violations: {len(rep.violations)}")
 print("\nGap-sumset criterion |L+L| <= 3(g-1) (necessary for Weierstrass):")
 rep = sf.buchweitz_sweep(16)
 print(f"  failures by genus: {rep.stats['failures'] or 'none below 16'}")
-print(f"  first failing gap sets: {rep.stats['witnesses']}")
+print(f"  least failing gap sets: {rep.stats['witnesses']}")
 
 print("\nConcentration of shape (eps = 0.25):")
 stats = sf.concentration_sweep(20, 0.25)

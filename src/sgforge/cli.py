@@ -84,7 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_workers(requested: int | None) -> int:
     env = os.environ.get("SGFORGE_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"SGFORGE_THREADS must be an integer, got {env!r}") from None
     if requested is not None:
         return max(1, requested)
     return os.cpu_count() or 1
@@ -138,11 +142,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    try:
-        sg = from_generators(args.generators)
-    except (SemigroupError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sg = from_generators(args.generators)
     record = sg.to_record()
     weight, ewt, partition = sg.weight_data()
     record["partition"] = list(partition.parts)
@@ -175,7 +175,8 @@ def _run_verify(name: str, bound: int, split_depth: int, workers: int):
         return conjectures.kunz_oracle_sweep(bound)
     if name == "recurrence":
         return conjectures.recurrence_sweep(bound, min(bound, 15))
-    return conjectures.buchweitz_sweep(bound)
+    return conjectures.buchweitz_sweep(bound, split_depth=split_depth,
+                                       workers=workers)
 
 
 def _report_rows(report) -> tuple[list[str], list[tuple]]:
@@ -229,11 +230,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "count":
-        return _cmd_count(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    return _cmd_verify(args)
+    commands = {"count": _cmd_count, "inspect": _cmd_inspect,
+                "verify": _cmd_verify}
+    try:
+        return commands[args.command](args)
+    except (SemigroupError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

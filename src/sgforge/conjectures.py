@@ -17,7 +17,8 @@ from .core import NumericalSemigroup, _bits
 from .errors import AlreadyOrdinary, IncompleteCensus
 from .formulas import fibonacci, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
-from .tree import CensusTable, Descent, TreeFrame, enumerate_tree
+from .tree import (CensusTable, Descent, TreeFrame, _add_witness,
+                   _merge_witnesses, enumerate_tree)
 
 PHI = (1 + math.sqrt(5)) / 2
 GAMMA = (5 + math.sqrt(5)) / 10
@@ -311,15 +312,14 @@ class BuchweitzCollector:
         gaps = frame.gap_tuple()
         if gap_sumset_size(gaps) > 3 * (g - 1):
             self.failures[g] = self.failures.get(g, 0) + 1
-            if len(self.witnesses) < 20:
-                self.witnesses.append(gaps)
+            _add_witness(self.witnesses, gaps)
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
         for g, c in other.totals.items():
             self.totals[g] = self.totals.get(g, 0) + c
         for g, c in other.failures.items():
             self.failures[g] = self.failures.get(g, 0) + c
-        self.witnesses = (self.witnesses + other.witnesses)[:20]
+        self.witnesses = _merge_witnesses(self.witnesses, other.witnesses)
         return self
 
 
@@ -327,8 +327,8 @@ def buchweitz_sweep(g_max: int = 16, *, split_depth: int = 0,
                     workers: int = 1) -> VerificationReport:
     """Count criterion failures per genus (they are data, not violations).
 
-    The report's violation list stays empty; failure counts and the first
-    failing gap sets appear in the stats.
+    The report's violation list stays empty; failure counts and the
+    lexicographically least failing gap sets appear in the stats.
     """
     table = enumerate_tree(g_max, split_depth=split_depth, workers=workers,
                            collectors={"buchweitz": BuchweitzCollector})
@@ -348,12 +348,21 @@ def buchweitz_sweep(g_max: int = 16, *, split_depth: int = 0,
 # ---------------------------------------------------------------------------
 # Effective-weight bound
 
+def _gaps_precede(a: int, b: int) -> bool:
+    """Whether same-genus member mask ``a`` has a lexicographically smaller
+    gap tuple than ``b``: at their lowest differing bit ``a`` has the gap."""
+    d = a ^ b
+    return bool(b & d & -d)
+
+
 class EwtMaxCollector:
-    """Maximum effective weight per genus, with a witness gap set."""
+    """Maximum effective weight per genus, witnessed by the least gap tuple
+    among the maximisers, so the witness ignores the visiting order."""
 
     def __init__(self):
         self.max_by_genus: dict[int, int] = {}
         self.argmax: dict[int, tuple[int, ...]] = {}
+        self.argmax_mask: dict[int, int] = {}
 
     def visit(self, frame: TreeFrame) -> None:
         f = frame.frobenius
@@ -367,14 +376,20 @@ class EwtMaxCollector:
             if n >= f:
                 break
             ewt += g - (gap_mask & ((1 << (n + 1)) - 1)).bit_count()
-        if ewt > self.max_by_genus.get(g, -1):
+        best = self.max_by_genus.get(g, -1)
+        if ewt > best or (ewt == best and
+                          _gaps_precede(frame.mask, self.argmax_mask[g])):
             self.max_by_genus[g] = ewt
+            self.argmax_mask[g] = frame.mask
             self.argmax[g] = frame.gap_tuple()
 
     def merge(self, other: "EwtMaxCollector") -> "EwtMaxCollector":
         for g, v in other.max_by_genus.items():
-            if v > self.max_by_genus.get(g, -1):
+            best = self.max_by_genus.get(g, -1)
+            if v > best or (v == best and _gaps_precede(other.argmax_mask[g],
+                                                        self.argmax_mask[g])):
                 self.max_by_genus[g] = v
+                self.argmax_mask[g] = other.argmax_mask[g]
                 self.argmax[g] = other.argmax[g]
         return self
 

@@ -138,29 +138,13 @@ def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
     yield from extend(1, g)
 
 
-def count_by_polytope(m: int, g: int, *, workers: int = 1) -> int:
-    """N(m, g) by filtered lattice-point enumeration on the genus slice.
-
-    ``workers`` > 1 shards the search by the first coordinate; shard counts
-    are summed, so the result is identical to the sequential count.
-    """
+def count_by_polytope(m: int, g: int) -> int:
+    """N(m, g) by filtered lattice-point enumeration on the genus slice."""
     if m < 2:
         raise MultiplicityOne("multiplicity must be at least 2")
     if g < 1:
         return 0
-    if workers <= 1:
-        return sum(1 for _ in kunz_vectors(m, g))
-    from multiprocessing import get_context
-
-    k1_values = list(range(1, g - (m - 2) + 1))
-    jobs = [(m, g, v) for v in k1_values]
-    with get_context().Pool(processes=workers) as pool:
-        return sum(pool.map(_count_shard, jobs))
-
-
-def _count_shard(payload) -> int:
-    m, g, k1 = payload
-    return sum(1 for vec in kunz_vectors(m, g) if vec[0] == k1)
+    return sum(1 for _ in kunz_vectors(m, g))
 
 
 def recurrence_bijection_check(m: int, g: int) -> tuple[bool, list[dict]]:

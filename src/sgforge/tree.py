@@ -25,15 +25,28 @@ into two nonzero members avoiding lam.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from multiprocessing import get_context
+from operator import add
 from typing import Callable, Mapping, Protocol
 
 from .core import GeneratorTag, NumericalSemigroup, Strength, _bits
 from .errors import IncompleteCensus, WindowOverflow
 
 _WITNESS_CAP = 20
+
+
+def _add_witness(witnesses: list, gaps: tuple[int, ...]) -> None:
+    # Witness lists hold the _WITNESS_CAP lexicographically least gap
+    # tuples, sorted, so they do not depend on the visiting order.
+    insort(witnesses, gaps)
+    del witnesses[_WITNESS_CAP:]
+
+
+def _merge_witnesses(a: list, b: list) -> list:
+    return sorted(a + b)[:_WITNESS_CAP]
 
 
 class Descent(Enum):
@@ -214,7 +227,8 @@ class CensusTable:
             ns_of_f=add_dict(self.ns_of_f, other.ns_of_f),
             wilf_violations=[a + b for a, b in zip(self.wilf_violations,
                                                    other.wilf_violations)],
-            wilf_witnesses=(self.wilf_witnesses + other.wilf_witnesses)[:_WITNESS_CAP],
+            wilf_witnesses=_merge_witnesses(self.wilf_witnesses,
+                                            other.wilf_witnesses),
             extras=extras,
         )
 
@@ -272,9 +286,8 @@ class _Tallies:
         for name in ("ng", "nmg", "tgh", "sgh", "sg", "f2m", "f3m", "yc",
                      "nsf", "wilf_bad"):
             mine = getattr(self, name)
-            for i, v in enumerate(getattr(other, name)):
-                mine[i] += v
-        self.wilf_wit = (self.wilf_wit + other.wilf_wit)[:_WITNESS_CAP]
+            mine[:] = map(add, mine, getattr(other, name))
+        self.wilf_wit = _merge_witnesses(self.wilf_wit, other.wilf_wit)
 
     def to_table(self, extras=None) -> CensusTable:
         width = self.g_max + 1
@@ -373,8 +386,7 @@ def _walk_fast(root, g_max, lam_max, tallies, frontier_depth=-1):
             nsf[F] += 1
         if F >= 0 and F + 1 > (F + 1 - g) * e:
             wilf_bad[g] += 1
-            if len(wilf_wit) < _WITNESS_CAP:
-                wilf_wit.append(_gaps_of(B, F))
+            _add_witness(wilf_wit, _gaps_of(B, F))
         g1 = g + 1
         if g1 > g_max:
             continue
@@ -437,8 +449,7 @@ def _walk_fast(root, g_max, lam_max, tallies, frontier_depth=-1):
                     nsf[lam] += 1
                 if lam + 1 > (lam + 1 - g1) * ec:
                     wilf_bad[g1] += 1
-                    if len(wilf_wit) < _WITNESS_CAP:
-                        wilf_wit.append(_gaps_of(B ^ (1 << lam), lam))
+                    _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
                 continue
             rest = eff[i + 1:]
             if strong:
@@ -524,8 +535,7 @@ def _walk_rich(root, g_max, lam_max, tallies, collectors, frontier_depth=-1):
             t.nsf[F] += 1
         if F >= 0 and F + 1 > (F + 1 - g) * e:
             t.wilf_bad[g] += 1
-            if len(t.wilf_wit) < _WITNESS_CAP:
-                t.wilf_wit.append(_gaps_of(B, F))
+            _add_witness(t.wilf_wit, _gaps_of(B, F))
 
         if coll_list:
             frame = TreeFrame(B, g, m, F, eff, flags, e, mg_mask,
@@ -582,6 +592,31 @@ def _rich_root(g_max: int) -> tuple:
     return root + (mg_mask, Descent.ROOT)
 
 
+def _spine_frontier(g_max, lam_max, tallies, collectors=None):
+    """Tally the ordinary-semigroup spine and return its off-spine children.
+
+    The spine is the chain of ordinary semigroups {0, m, m+1, ...}, each the
+    child of the last that removes its multiplicity m.  It holds most of the
+    tree's top, so the calling process walks it; every other child of a spine
+    node roots one job.  Jobs run in (depth, Frobenius number) order, which
+    starts the heavy shallow subtrees first.
+    """
+    jobs = []
+    node = _root_frame(g_max) if collectors is None else _rich_root(g_max)
+    while node is not None:
+        depth = node[1] + 1
+        if collectors is None:
+            children = _walk_fast(node, g_max, lam_max, tallies, depth)
+        else:
+            children = _walk_rich(node, g_max, lam_max, tallies, collectors,
+                                  depth)
+        m = node[2]
+        node = next((c for c in children if c[3] == m), None)
+        jobs.extend(c for c in children if c[3] != m)
+    jobs.sort(key=lambda frame: (frame[1], frame[3]))
+    return jobs
+
+
 def _subtree_job(payload):
     frame, g_max, lam_max, ns_cap, factories = payload
     tallies = _Tallies(g_max, ns_cap)
@@ -609,12 +644,15 @@ def enumerate_tree(
     number stays within the bound; counts other than ``ns_of_f`` then
     describe that restricted universe.
 
-    ``split_depth`` > 0 enumerates the frontier at that depth sequentially
-    and processes the subtrees below on ``workers`` processes; the merged
-    table is identical to a sequential run.  ``collectors`` maps names to
+    ``split_depth`` > 0 with ``workers`` > 1 runs in parallel; the value of
+    ``split_depth`` only switches this on.  The calling process walks the
+    chain of ordinary semigroups from the root, and each of their other
+    children roots one job on a pool of ``workers`` processes.  Results merge
+    in the fixed job order and witness lists keep the least gap tuples, so
+    the table is identical to a sequential run.  ``collectors`` maps names to
     zero-argument factories producing per-worker collector instances
-    (module-level classes, so they survive pickling), merged into
-    ``extras`` afterwards.
+    (module-level classes, so they survive pickling), merged into ``extras``
+    afterwards.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
@@ -637,25 +675,19 @@ def enumerate_tree(
         _walk_fast(_root_frame(g_max), g_max, lam_max, tallies)
         return tallies.to_table()
 
-    if factories:
-        seq_extras = {name: make() for name, make in factories}
-        frontier = _walk_rich(_rich_root(g_max), g_max, lam_max, tallies,
-                              seq_extras, frontier_depth=split_depth)
-    else:
-        seq_extras = None
-        frontier = _walk_fast(_root_frame(g_max), g_max, lam_max, tallies,
-                              frontier_depth=split_depth)
+    seq_extras = ({name: make() for name, make in factories} if factories
+                  else None)
+    frontier = _spine_frontier(g_max, lam_max, tallies, seq_extras)
 
     jobs = [(frame, g_max, lam_max, ns_cap, factories) for frame in frontier]
-    with get_context().Pool(processes=workers) as pool:
-        results = pool.map(_subtree_job, jobs, chunksize=1)
-
     merged_extras = seq_extras
-    for sub_tallies, sub_coll in results:
-        tallies.iadd(sub_tallies)
-        if sub_coll is not None:
-            for name, coll in sub_coll.items():
-                merged_extras[name] = merged_extras[name].merge(coll)
+    with get_context().Pool(processes=workers) as pool:
+        # imap keeps the job order, and merging overlaps the running jobs.
+        for sub_tallies, sub_coll in pool.imap(_subtree_job, jobs):
+            tallies.iadd(sub_tallies)
+            if sub_coll is not None:
+                for name, coll in sub_coll.items():
+                    merged_extras[name] = merged_extras[name].merge(coll)
     return tallies.to_table(merged_extras)
 
 

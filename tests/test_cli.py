@@ -1,6 +1,7 @@
 """Command-line surface: tables, records, verify sweeps, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -176,6 +177,46 @@ class TestVerify:
         assert code == 2
         assert "VIOLATIONS" in err
         assert json.loads(out.splitlines()[-1]) == {"gaps": [1, 2, 5]}
+
+
+class TestParallelKnobs:
+    @staticmethod
+    def _run(argv, env=None):
+        return subprocess.run([sys.executable, "-m", "sgforge.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, **(env or {})})
+
+    def test_split_depth_beyond_genus_is_one_line_error(self):
+        proc = self._run(["count", "--max-genus", "5", "--split-depth", "9"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "split_depth" in proc.stderr
+
+    def test_non_integer_threads_is_one_line_error(self):
+        proc = self._run(["count", "--max-genus", "5"],
+                         env={"SGFORGE_THREADS": "abc"})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "SGFORGE_THREADS" in proc.stderr
+
+    def test_buchweitz_passes_parallel_knobs(self, capsys, monkeypatch):
+        from sgforge import conjectures
+
+        seen = {}
+        real = conjectures.buchweitz_sweep
+
+        def spy(bound, **kwargs):
+            seen.update(kwargs)
+            return real(bound, **kwargs)
+
+        monkeypatch.delenv("SGFORGE_THREADS", raising=False)
+        monkeypatch.setattr(conjectures, "buchweitz_sweep", spy)
+        code, _, _ = run_cli(capsys, "verify", "buchweitz", "--max-genus", "6",
+                             "--split-depth", "2", "--workers", "2")
+        assert code == 0
+        assert seen == {"split_depth": 2, "workers": 2}
 
 
 class TestWorkerResolution:

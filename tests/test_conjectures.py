@@ -171,6 +171,64 @@ class TestBuchweitz:
         assert not sf.buchweitz_check(sf.from_gaps(classical))
 
 
+class FrameLog:
+    """Keeps every frame it visits, grouped by genus."""
+
+    def __init__(self):
+        self.by_genus = {}
+
+    def visit(self, frame):
+        self.by_genus.setdefault(frame.genus, []).append(frame)
+
+    def merge(self, other):
+        for g, frames in other.by_genus.items():
+            self.by_genus.setdefault(g, []).extend(frames)
+        return self
+
+
+class TestParallelSweeps:
+    def test_buchweitz_witnesses_independent_of_schedule(self):
+        seq = sf.buchweitz_sweep(18)
+        par = sf.buchweitz_sweep(18, split_depth=3, workers=2)
+        assert seq.stats == par.stats
+        assert seq.stats["witnesses"] == sorted(seq.stats["witnesses"])
+
+    def test_pflueger_independent_of_schedule(self):
+        assert sf.pflueger_sweep(16).stats == \
+            sf.pflueger_sweep(16, split_depth=3, workers=2).stats
+
+    def test_ewt_argmax_ignores_visit_and_merge_order(self):
+        from sgforge.conjectures import EwtMaxCollector
+
+        table = sf.enumerate_tree(10, collectors={"log": FrameLog})
+        frames = [f for g in sorted(table.extras["log"].by_genus)
+                  for f in table.extras["log"].by_genus[g]]
+
+        def fed(part):
+            coll = EwtMaxCollector()
+            for frame in part:
+                coll.visit(frame)
+            return coll
+
+        forward = fed(frames)
+        assert fed(reversed(frames)).argmax == forward.argmax
+        half = len(frames) // 2
+        assert fed(frames[:half]).merge(fed(frames[half:])).argmax \
+            == forward.argmax
+        assert fed(frames[half:]).merge(fed(frames[:half])).argmax \
+            == forward.argmax
+
+    def test_mask_order_matches_gap_tuple_order(self):
+        from sgforge.conjectures import _gaps_precede
+
+        table = sf.enumerate_tree(7, collectors={"log": FrameLog})
+        for frames in table.extras["log"].by_genus.values():
+            for a in frames:
+                for b in frames:
+                    assert _gaps_precede(a.mask, b.mask) == \
+                        (a.gap_tuple() < b.gap_tuple())
+
+
 class TestPflueger:
     def test_bound_values(self):
         assert sf.pflueger_bound(1) == 0

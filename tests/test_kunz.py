@@ -107,10 +107,6 @@ class TestCountByPolytope:
     def test_zero_above_diagonal(self):
         assert sf.count_by_polytope(7, 3) == 0
 
-    def test_sharded_count(self):
-        assert sf.count_by_polytope(6, 12, workers=3) == \
-            sf.count_by_polytope(6, 12)
-
     def test_enumeration_is_lexicographic_and_valid(self):
         vecs = list(sf.kunz_vectors(5, 9))
         assert vecs == sorted(vecs)

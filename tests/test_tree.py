@@ -283,6 +283,32 @@ class TestDeterminism:
         assert left.counts_equal(right)
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
+    def test_spine_frontier_covers_tree_and_balances(self):
+        from sgforge.tree import _spine_frontier, _subtree_job, _Tallies
+
+        g_max = 18
+        lam_max = 3 * g_max + 3
+        tallies = _Tallies(g_max, g_max)
+        jobs = _spine_frontier(g_max, lam_max, tallies)
+        # The calling process tallies exactly the ordinary semigroups.
+        assert tallies.ng == [1] * (g_max + 1)
+        sizes = [sum(_subtree_job((f, g_max, lam_max, g_max, None))[0].ng)
+                 for f in jobs]
+        total = sum(sf.enumerate_tree(g_max).n_of_g)
+        assert sum(tallies.ng) + sum(sizes) == total
+        assert max(sizes) <= total / 8
+
+    def test_merged_witnesses_ignore_order(self, census16):
+        from dataclasses import replace
+
+        evens = [(1, k) for k in range(0, 30, 2)]
+        odds = [(1, k) for k in range(1, 30, 2)]
+        a = replace(census16, wilf_witnesses=evens)
+        b = replace(census16, wilf_witnesses=odds)
+        expected = [(1, k) for k in range(20)]
+        assert a.merge(b).wilf_witnesses == expected
+        assert b.merge(a).wilf_witnesses == expected
+
 
 # -- frames and contracts ------------------------------------------------------
 
