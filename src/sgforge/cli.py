@@ -47,6 +47,9 @@ def _inspect_parser(sub):
 VERIFY_NAMES = ["wilf", "ye", "bras-amoros", "ordinarization", "pflueger",
                 "zhai-lemma", "kunz-oracle", "recurrence", "buchweitz"]
 
+# Sweeps without a parallel path; they reject --workers and --split-depth.
+_SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
+
 _VERIFY_DEFAULT_RANGE = {
     "wilf": 30,
     "ye": 20,
@@ -65,7 +68,7 @@ def _verify_parser(sub):
     p.add_argument("name", choices=VERIFY_NAMES)
     p.add_argument("--max-genus", type=int, default=None, metavar="G",
                    help="sweep bound (Frobenius bound for zhai-lemma)")
-    p.add_argument("--split-depth", type=int, default=0)
+    p.add_argument("--split-depth", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
@@ -208,10 +211,14 @@ def _report_rows(report) -> tuple[list[str], list[tuple]]:
 
 
 def _cmd_verify(args) -> int:
+    if args.name in _SEQUENTIAL_SWEEPS and (args.workers is not None
+                                            or args.split_depth is not None):
+        raise ValueError(f"verify {args.name} runs sequentially and takes "
+                         "no --workers or --split-depth")
     workers = _resolve_workers(args.workers)
     bound = args.max_genus if args.max_genus is not None \
         else _VERIFY_DEFAULT_RANGE[args.name]
-    report = _run_verify(args.name, bound, args.split_depth, workers)
+    report = _run_verify(args.name, bound, args.split_depth or 0, workers)
     if args.format == "json":
         _emit(json.dumps(report.to_json()) + "\n", args.output)
     else:

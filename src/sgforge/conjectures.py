@@ -13,12 +13,12 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
-from .core import NumericalSemigroup, _bits
+from .core import NumericalSemigroup, Strength, _bits
 from .errors import AlreadyOrdinary, IncompleteCensus
 from .formulas import fibonacci, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
-from .tree import (CensusTable, Descent, TreeFrame, _add_witness,
-                   _merge_witnesses, enumerate_tree)
+from .tree import (CensusTable, TreeFrame, _add_witness, _merge_witnesses,
+                   enumerate_tree)
 
 PHI = (1 + math.sqrt(5)) / 2
 GAMMA = (5 + math.sqrt(5)) / 10
@@ -135,7 +135,7 @@ class StrongClassCollector:
         self.classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def visit(self, frame: TreeFrame) -> None:
-        if frame.descent is Descent.WEAK or frame.frobenius < 1:
+        if frame.descent is Strength.WEAK or frame.frobenius < 1:
             return
         key = (frame.multiplicity, frame.frobenius)
         self.classes.setdefault(key, []).append((frame.genus, frame.efficacy))
@@ -163,7 +163,13 @@ def zhai_lemma_check(m: int, frob: int,
 
 
 def zhai_sweep(f_max: int = 20) -> VerificationReport:
-    """All (m, F) classes with m < F <= f_max and F not a multiple of m."""
+    """All (m, F) classes with m < F <= f_max and F not a multiple of m.
+
+    The first class is (2, 3), so f_max < 3 would check nothing.
+    """
+    if f_max < 3:
+        raise ValueError("f_max must be >= 3; smaller bounds leave no "
+                         "(m, F) class to check")
     table = enumerate_tree(f_max, frobenius_max=f_max,
                            collectors={"strong": StrongClassCollector})
     classes = table.extras["strong"].classes
@@ -538,6 +544,9 @@ def kunz_oracle_sweep(g_max: int = 15, m_max: int = 9, *,
                       census: CensusTable | None = None,
                       formula_g_max: int = 30) -> VerificationReport:
     """Tree counts against polytope counts, plus the exact m = 3 formula."""
+    if g_max < 1 or m_max < 2:
+        raise ValueError("g_max must be >= 1 and m_max >= 2; smaller bounds "
+                         "leave no (m, g) cell to check")
     if census is None or census.g_max < g_max:
         census = enumerate_tree(g_max)
     violations = []
@@ -572,6 +581,9 @@ def recurrence_sweep(g_max: int = 18, bijection_g_max: int = 15, *,
     2g < 3m, 1 <= g <= g_max, 2 <= m <= g + 1.  Bijection: the truncation
     map itself is checked for g <= bijection_g_max.
     """
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "(m, g) cell to check")
     if census is None or census.g_max < g_max:
         census = enumerate_tree(g_max)
     violations = []

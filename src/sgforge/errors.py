@@ -53,13 +53,5 @@ class PreconditionViolated(SemigroupError):
     """The truncation recurrence only applies when 2g < 3m."""
 
 
-class WindowOverflow(SemigroupError):
-    """The configured membership window is too small for the requested depth."""
-
-
 class IncompleteCensus(SemigroupError):
     """The census table does not cover the requested genus level."""
-
-
-# The tree module historically called this IncompleteTable; keep both names.
-IncompleteTable = IncompleteCensus

@@ -9,6 +9,9 @@ import pytest
 
 from sgforge.cli import main, _resolve_workers
 
+# verify names without a parallel path.
+SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -130,10 +133,23 @@ class TestVerify:
         ("buchweitz", "10"),
     ])
     def test_all_names_exit_zero(self, capsys, name, bound):
+        # The sequential sweeps take no --workers; see TestSequentialSweeps.
+        knobs = [] if name in SEQUENTIAL_SWEEPS else ["--workers", "1"]
         code, _out, err = run_cli(capsys, "verify", name, "--max-genus", bound,
-                                  "--workers", "1")
+                                  *knobs)
         assert code == 0
         assert "ok" in err
+
+    def test_bras_amoros_tiny_bound(self, capsys):
+        # m_max = 9 exceeds every stored multiplicity at g_max = 3.
+        code, out, _ = run_cli(capsys, "verify", "bras-amoros", "--max-genus",
+                               "3", "--format", "json", "--workers", "1")
+        assert code == 0
+        assert json.loads(out) == {
+            "name": "bras-amoros", "params": {"g_max": 3, "m_max": 9},
+            "ok": True, "violations": [],
+            "stats": {"rows": [[2, 1.0, 2.0], [3, 0.75, 2.0]]},
+        }
 
     def test_unknown_name_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +233,41 @@ class TestParallelKnobs:
                              "--split-depth", "2", "--workers", "2")
         assert code == 0
         assert seen == {"split_depth": 2, "workers": 2}
+
+
+class TestSequentialSweeps:
+    @staticmethod
+    def _one_line_error(capsys, *argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
+    @pytest.mark.parametrize("knob", [["--workers", "2"],
+                                      ["--split-depth", "3"],
+                                      ["--workers", "1", "--split-depth", "0"]],
+                             ids=["workers", "split-depth", "both"])
+    def test_parallel_knobs_rejected(self, capsys, name, knob):
+        err = self._one_line_error(capsys, name, "--max-genus", "6", *knob)
+        assert name in err
+
+    @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
+    def test_thread_variable_alone_is_fine(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("SGFORGE_THREADS", "2")
+        code, _out, err = run_cli(capsys, "verify", name, "--max-genus", "6")
+        assert code == 0
+        assert "ok" in err
+
+    @pytest.mark.parametrize("name,bound", [
+        ("zhai-lemma", "0"),
+        ("zhai-lemma", "2"),
+        ("kunz-oracle", "0"),
+        ("recurrence", "0"),
+    ])
+    def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
+        self._one_line_error(capsys, name, "--max-genus", bound)
 
 
 class TestWorkerResolution:

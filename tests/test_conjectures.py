@@ -70,6 +70,11 @@ class TestZhaiLemma:
     def test_sweep(self):
         assert sf.zhai_sweep(14).ok
 
+    def test_vacuous_bound_rejected(self):
+        assert sf.zhai_sweep(3).stats["cells"] == 1
+        with pytest.raises(ValueError):
+            sf.zhai_sweep(2)
+
 
 class TestOrdinarization:
     def test_examples(self):
@@ -311,6 +316,12 @@ class TestOracleSweeps:
         report = sf.recurrence_sweep(14, 10, census=census16)
         assert report.ok
         assert report.stats["cells"] > 40
+
+    def test_vacuous_bounds_rejected(self, census16):
+        with pytest.raises(ValueError):
+            sf.kunz_oracle_sweep(0, census=census16)
+        with pytest.raises(ValueError):
+            sf.recurrence_sweep(0, census=census16)
 
     def test_bounds(self, census16):
         assert sf.bounds_sweep(16, census=census16).ok

@@ -8,7 +8,7 @@ import pytest
 
 import sgforge as sf
 from sgforge.cli import _render_table
-from sgforge.errors import IncompleteCensus, WindowOverflow
+from sgforge.errors import IncompleteCensus
 
 FIG1 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857]
 
@@ -85,6 +85,13 @@ class TestCounts:
             for m, expected in enumerate(row, start=2):
                 assert census16.n_mg(m, g) == expected
         assert census16.n_mg(1, 0) == 1
+
+    def test_accessors_zero_outside_stored_range(self, census16):
+        # Flat storage must not alias a neighbouring cell or raise.
+        assert census16.n_mg(40, 3) == 0
+        assert census16.n_mg(-1, 2) == 0
+        assert census16.t_gh(3, 40) == 0
+        assert census16.s_gh(3, -1) == 0
 
     def test_zero_depth(self):
         table = sf.enumerate_tree(0)
@@ -167,7 +174,7 @@ class TestStrength:
                 self.gapsets = []
 
             def visit(self, frame):
-                if frame.descent is not sf.Descent.WEAK:
+                if frame.descent is not sf.Strength.WEAK:
                     self.gapsets.append(frame.gap_tuple())
 
             def merge(self, other):
@@ -265,15 +272,13 @@ class TestDeterminism:
 
     def test_merge_is_commutative_monoid_on_counts(self):
         # Split at depth 2 by hand and recombine in both orders.
-        from sgforge.tree import _root_frame, _subtree_job, _Tallies, _walk_fast
+        from sgforge.tree import CensusTable, _root_frame, _subtree_job, _walk
 
         g_max = 9
-        tallies = _Tallies(g_max, g_max)
-        frontier = _walk_fast(_root_frame(g_max), g_max, 100, tallies,
-                              frontier_depth=2)
-        prefix = tallies.to_table()
-        parts = [_subtree_job((f, g_max, 100, g_max, None))[0].to_table()
-                 for f in frontier]
+        prefix = CensusTable.empty(g_max, g_max)
+        frontier = _walk(_root_frame(g_max), g_max, 100, prefix,
+                         frontier_depth=2)
+        parts = [_subtree_job((f, g_max, 100, g_max, ())) for f in frontier]
         left = prefix
         for p in parts:
             left = left.merge(p)
@@ -284,18 +289,18 @@ class TestDeterminism:
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
-        from sgforge.tree import _spine_frontier, _subtree_job, _Tallies
+        from sgforge.tree import CensusTable, _spine_frontier, _subtree_job
 
         g_max = 18
         lam_max = 3 * g_max + 3
-        tallies = _Tallies(g_max, g_max)
-        jobs = _spine_frontier(g_max, lam_max, tallies)
+        spine = CensusTable.empty(g_max, g_max)
+        jobs = _spine_frontier(g_max, lam_max, spine)
         # The calling process tallies exactly the ordinary semigroups.
-        assert tallies.ng == [1] * (g_max + 1)
-        sizes = [sum(_subtree_job((f, g_max, lam_max, g_max, None))[0].ng)
+        assert spine.n_of_g == [1] * (g_max + 1)
+        sizes = [sum(_subtree_job((f, g_max, lam_max, g_max, ())).n_of_g)
                  for f in jobs]
         total = sum(sf.enumerate_tree(g_max).n_of_g)
-        assert sum(tallies.ng) + sum(sizes) == total
+        assert sum(spine.n_of_g) + sum(sizes) == total
         assert max(sizes) <= total / 8
 
     def test_merged_witnesses_ignore_order(self, census16):
@@ -348,21 +353,15 @@ class TestFrames:
             def visit(self, frame):
                 if frame.genus == 0:
                     seen["descent"] = frame.descent
-                    seen["parent_removed"] = frame.parent_removed
 
             def merge(self, other):
                 return self
 
         sf.enumerate_tree(2, collectors={"probe": RootProbe})
-        assert seen["descent"] is sf.Descent.ROOT
-        assert seen["parent_removed"] is None
+        assert seen["descent"] is None
 
 
 class TestValidation:
-    def test_window_overflow(self):
-        with pytest.raises(WindowOverflow):
-            sf.enumerate_tree(10, window_bits=8)
-
     def test_bad_split_depth(self):
         with pytest.raises(ValueError):
             sf.enumerate_tree(5, split_depth=9)
