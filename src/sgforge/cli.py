@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import conjectures
@@ -32,8 +31,8 @@ def _count_parser(sub):
     p.add_argument("--max-genus", type=int, required=True, metavar="G")
     p.add_argument("--by", choices=["genus", "multiplicity", "efficacy", "frobenius"],
                    default="genus")
-    p.add_argument("--split-depth", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="default 1; N > 1 runs the walk in parallel")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
 
@@ -47,7 +46,7 @@ def _inspect_parser(sub):
 VERIFY_NAMES = ["wilf", "ye", "bras-amoros", "ordinarization", "pflueger",
                 "zhai-lemma", "kunz-oracle", "recurrence", "buchweitz"]
 
-# Sweeps without a parallel path; they reject --workers and --split-depth.
+# Sweeps without a parallel path; they reject --workers.
 _SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
 
 _VERIFY_DEFAULT_RANGE = {
@@ -68,8 +67,9 @@ def _verify_parser(sub):
     p.add_argument("name", choices=VERIFY_NAMES)
     p.add_argument("--max-genus", type=int, default=None, metavar="G",
                    help="sweep bound (Frobenius bound for zhai-lemma)")
-    p.add_argument("--split-depth", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    # None tells an explicit --workers apart from the default of 1.
+    p.add_argument("--workers", type=int, default=None,
+                   help="default 1; N > 1 runs the walk in parallel")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
 
@@ -82,19 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     _inspect_parser(sub)
     _verify_parser(sub)
     return parser
-
-
-def _resolve_workers(requested: int | None) -> int:
-    env = os.environ.get("SGFORGE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"SGFORGE_THREADS must be an integer, got {env!r}") from None
-    if requested is not None:
-        return max(1, requested)
-    return os.cpu_count() or 1
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -115,7 +102,6 @@ def _render_table(headers: list[str], rows: list[tuple], fmt: str) -> str:
 
 
 def _cmd_count(args) -> int:
-    workers = _resolve_workers(args.workers)
     g_max = args.max_genus
     if g_max < 0:
         print("error: --max-genus must be nonnegative", file=sys.stderr)
@@ -124,13 +110,11 @@ def _cmd_count(args) -> int:
         if g_max < 1:
             print("error: frobenius counts need --max-genus >= 1", file=sys.stderr)
             return 1
-        counts = ns_by_frobenius(g_max, split_depth=args.split_depth,
-                                 workers=workers)
+        counts = ns_by_frobenius(g_max, workers=args.workers)
         rows = sorted(counts.items())
         text = _render_table(["F", "count"], rows, args.format)
     else:
-        table = enumerate_tree(g_max, split_depth=args.split_depth,
-                               workers=workers)
+        table = enumerate_tree(g_max, workers=args.workers)
         if args.by == "genus":
             text = _render_table(["genus", "count"], table.rows_by_genus(),
                                  args.format)
@@ -156,30 +140,24 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _run_verify(name: str, bound: int, split_depth: int, workers: int):
+def _run_verify(name: str, bound: int, workers: int):
     if name == "wilf":
-        return conjectures.wilf_sweep(bound, split_depth=split_depth,
-                                      workers=workers)
+        return conjectures.wilf_sweep(bound, workers=workers)
     if name == "ye":
-        return conjectures.ye_sweep(bound, split_depth=split_depth,
-                                    workers=workers)
+        return conjectures.ye_sweep(bound, workers=workers)
     if name == "bras-amoros":
-        census = enumerate_tree(bound, split_depth=split_depth, workers=workers)
-        return conjectures.ratio_report(census)
+        return conjectures.ratio_report(enumerate_tree(bound, workers=workers))
     if name == "ordinarization":
-        return conjectures.ordinarization_sweep(bound, split_depth=split_depth,
-                                                workers=workers)
+        return conjectures.ordinarization_sweep(bound, workers=workers)
     if name == "pflueger":
-        return conjectures.pflueger_sweep(bound, split_depth=split_depth,
-                                          workers=workers)
+        return conjectures.pflueger_sweep(bound, workers=workers)
     if name == "zhai-lemma":
         return conjectures.zhai_sweep(bound)
     if name == "kunz-oracle":
         return conjectures.kunz_oracle_sweep(bound)
     if name == "recurrence":
         return conjectures.recurrence_sweep(bound, min(bound, 15))
-    return conjectures.buchweitz_sweep(bound, split_depth=split_depth,
-                                       workers=workers)
+    return conjectures.buchweitz_sweep(bound, workers=workers)
 
 
 def _report_rows(report) -> tuple[list[str], list[tuple]]:
@@ -198,9 +176,6 @@ def _report_rows(report) -> tuple[list[str], list[tuple]]:
     if report.name == "kunz-oracle":
         return ["m", "g", "count_polytope", "count_tree", "match"], \
             stats.get("rows", [])
-    if report.name == "bounds":
-        return ["g", "fib_lower", "zhao_lower", "t_g", "N_g", "upper"], \
-            stats.get("rows", [])
     if report.name == "buchweitz":
         totals = stats.get("totals", {})
         failures = stats.get("failures", {})
@@ -211,14 +186,13 @@ def _report_rows(report) -> tuple[list[str], list[tuple]]:
 
 
 def _cmd_verify(args) -> int:
-    if args.name in _SEQUENTIAL_SWEEPS and (args.workers is not None
-                                            or args.split_depth is not None):
+    if args.name in _SEQUENTIAL_SWEEPS and args.workers is not None:
         raise ValueError(f"verify {args.name} runs sequentially and takes "
-                         "no --workers or --split-depth")
-    workers = _resolve_workers(args.workers)
+                         "no --workers")
+    workers = 1 if args.workers is None else args.workers
     bound = args.max_genus if args.max_genus is not None \
         else _VERIFY_DEFAULT_RANGE[args.name]
-    report = _run_verify(args.name, bound, args.split_depth or 0, workers)
+    report = _run_verify(args.name, bound, workers)
     if args.format == "json":
         _emit(json.dumps(report.to_json()) + "\n", args.output)
     else:

@@ -63,7 +63,7 @@ def check_wilf(sg: NumericalSemigroup) -> WilfCheck:
     return WilfCheck(f + 1 <= n * e, f + 1, n, e)
 
 
-def wilf_sweep(g_max: int = 30, *, split_depth: int = 0, workers: int = 1,
+def wilf_sweep(g_max: int = 30, *, workers: int = 1,
                census: CensusTable | None = None) -> VerificationReport:
     """Wilf's inequality over every semigroup of genus <= g_max.
 
@@ -71,7 +71,7 @@ def wilf_sweep(g_max: int = 30, *, split_depth: int = 0, workers: int = 1,
     violators are reported as witnesses.
     """
     if census is None or census.g_max < g_max:
-        census = enumerate_tree(g_max, split_depth=split_depth, workers=workers)
+        census = enumerate_tree(g_max, workers=workers)
     violations = [
         {"gaps": list(gaps),
          "generators": list(NumericalSemigroup(gaps).min_generators)}
@@ -110,10 +110,10 @@ def ye_identity(g: int, census: CensusTable) -> YeCheck:
 
 
 def ye_sweep(g_max: int = 20, *, census: CensusTable | None = None,
-             workers: int = 1, split_depth: int = 0) -> VerificationReport:
+             workers: int = 1) -> VerificationReport:
     """Identity plus its corollary N(g+2) >= N(g+1) - N(g) for g <= g_max."""
     if census is None or census.g_max < g_max + 2:
-        census = enumerate_tree(g_max + 2, split_depth=split_depth, workers=workers)
+        census = enumerate_tree(g_max + 2, workers=workers)
     violations = []
     for g in range(g_max + 1):
         res = ye_identity(g, census)
@@ -240,20 +240,21 @@ class OrdinarizationCollector:
         return self
 
 
-def ordinarization_census(g_max: int, *, split_depth: int = 0,
+def ordinarization_census(g_max: int, *,
                           workers: int = 1) -> dict[tuple[int, int], int]:
     """n(g, r) for every g <= g_max: semigroups of genus g needing r steps."""
-    table = enumerate_tree(g_max, split_depth=split_depth, workers=workers,
+    table = enumerate_tree(g_max, workers=workers,
                            collectors={"ordinarization": OrdinarizationCollector})
     return dict(table.extras["ordinarization"].counts)
 
 
-def ordinarization_sweep(g_max: int = 18, **kwargs) -> VerificationReport:
+def ordinarization_sweep(g_max: int = 18, *,
+                         workers: int = 1) -> VerificationReport:
     """Level sums, the single root per level, and n(g, r) <= n(g+1, r).
 
     The monotonicity cells cover g < g_max (each needs the next level).
     """
-    counts = ordinarization_census(g_max, **kwargs)
+    counts = ordinarization_census(g_max, workers=workers)
     n_of_g = [0] * (g_max + 1)
     for (g, _r), c in counts.items():
         n_of_g[g] += c
@@ -329,14 +330,17 @@ class BuchweitzCollector:
         return self
 
 
-def buchweitz_sweep(g_max: int = 16, *, split_depth: int = 0,
+def buchweitz_sweep(g_max: int = 16, *,
                     workers: int = 1) -> VerificationReport:
     """Count criterion failures per genus (they are data, not violations).
 
     The report's violation list stays empty; failure counts and the
-    lexicographically least failing gap sets appear in the stats.
+    lexicographically least failing gap sets appear in the stats.  The
+    criterion starts at genus 2, so g_max < 2 would check nothing.
     """
-    table = enumerate_tree(g_max, split_depth=split_depth, workers=workers,
+    if g_max < 2:
+        raise ValueError("g_max must be >= 2; the criterion needs genus >= 2")
+    table = enumerate_tree(g_max, workers=workers,
                            collectors={"buchweitz": BuchweitzCollector})
     coll = table.extras["buchweitz"]
     first_failure = min(coll.failures) if coll.failures else None
@@ -404,10 +408,13 @@ def pflueger_bound(g: int) -> int:
     return (g + 1) ** 2 // 8
 
 
-def pflueger_sweep(g_max: int = 25, *, split_depth: int = 0,
-                   workers: int = 1) -> VerificationReport:
-    """Effective weight against floor((g+1)^2 / 8) for every genus <= g_max."""
-    table = enumerate_tree(g_max, split_depth=split_depth, workers=workers,
+def pflueger_sweep(g_max: int = 25, *, workers: int = 1) -> VerificationReport:
+    """Effective weight against floor((g+1)^2 / 8) for every genus
+    1 <= g <= g_max."""
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "genus to check")
+    table = enumerate_tree(g_max, workers=workers,
                            collectors={"ewt": EwtMaxCollector})
     coll = table.extras["ewt"]
     violations = []
@@ -483,10 +490,10 @@ def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
     return out
 
 
-def concentration_sweep(g_max: int, eps: float, *, split_depth: int = 0,
+def concentration_sweep(g_max: int, eps: float, *,
                         workers: int = 1) -> dict[int, dict[str, float]]:
     table = enumerate_tree(
-        g_max, split_depth=split_depth, workers=workers,
+        g_max, workers=workers,
         collectors={"concentration": partial(ConcentrationCollector, eps)},
     )
     return concentration_stats(table)
@@ -512,9 +519,13 @@ def ratio_report(census: CensusTable, *, m_max: int = 9,
 
     Asserts N(g) >= N(g-1) + N(g-2) and N(g) >= N(g-1) on the covered
     range, and N(m, g) <= N(m, g+1) column by column for m <= m_max.
-    Emits (g, (N(g-1)+N(g-2))/N(g), N(g)/N(g-1)) rows for plotting.
+    Emits (g, (N(g-1)+N(g-2))/N(g), N(g)/N(g-1)) rows for plotting.  The
+    first checked genus is 2, so a census with g_max < 2 is rejected.
     """
     g_max = census.g_max
+    if g_max < 2:
+        raise ValueError("g_max must be >= 2; smaller bounds leave no "
+                         "genus to check")
     if column_g_max is None:
         column_g_max = g_max - 1
     violations = []

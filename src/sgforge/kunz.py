@@ -119,19 +119,16 @@ def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
                 hi = cap
         lo = 1
         # Wraparound constraints with j == pos give lower bounds:
-        # k_i + k_pos + 1 >= k_{i+pos-m} for i + pos > m.
-        for i in range(max(1, m - pos + 1), pos + 1):
+        # k_i + k_pos + 1 >= k_{i+pos-m} for i + pos > m, i < pos.
+        for i in range(max(1, m - pos + 1), pos):
             need = k[i + pos - m] - k[i] - 1
-            if i == pos:
-                # k_pos appears on both sides only via 2*k_pos + 1 >= k_{2pos-m}.
-                continue
             if need > lo:
                 lo = need
         for v in range(lo, hi + 1):
             k[pos] = v
-            if 2 * pos > m and 2 * pos != m and 2 * pos - m >= 1:
-                if 2 * v + 1 < k[2 * pos - m]:
-                    continue
+            # i == pos puts k_pos on both sides: 2*k_pos + 1 >= k_{2pos-m}.
+            if 2 * pos > m and 2 * v + 1 < k[2 * pos - m]:
+                continue
             yield from extend(pos + 1, remaining - v)
         k[pos] = 0
 

@@ -151,9 +151,8 @@ def _cells(flat: list[int], width: int) -> Mapping[tuple[int, int], int]:
 
 
 # Every counter list of a CensusTable; merging adds them pointwise.
-_COUNTERS = ("n_of_g", "n_mg_flat", "t_gh_flat", "strongly_descended",
-             "s_gh_flat", "f_lt_2m", "f_lt_3m", "ye_correction", "ns_flat",
-             "wilf_violations")
+_COUNTERS = ("n_mg_flat", "t_gh_flat", "s_gh_flat", "f_lt_2m", "f_lt_3m",
+             "ns_flat", "wilf_violations")
 
 
 @dataclass
@@ -163,16 +162,15 @@ class CensusTable:
     ``n_of_g[g]`` is the number of visited semigroups of genus g; the other
     tables refine that count by multiplicity, efficacy, descent strength,
     Frobenius number, and the two Frobenius-versus-multiplicity windows
-    F < 2m and F < 3m.  ``ye_correction[g]`` accumulates
-    (h - 1)(h - 2) / 2 over the genus-g nodes, the correction term of the
-    exact second-order census identity; the quadratic is evaluated as a
-    polynomial, so a childless node contributes 1.
+    F < 2m and F < 3m.
 
     The walk adds into flat lists: N(m, g) at ``n_mg_flat[m * (g_max + 1)
     + g]``, t(g, h) and its strongly descended part s(g, h) at
     ``t_gh_flat`` / ``s_gh_flat[g * (g_max + 3) + h]``, and ns(F) at
     ``ns_flat[F]``.  ``n_of_mg``, ``t_of_gh``, ``s_of_gh`` and ``ns_of_f``
-    are read-only dict views of their nonzero cells.
+    are read-only dict views of their nonzero cells.  The per-genus lists
+    ``n_of_g``, ``strongly_descended`` and ``ye_correction`` are derived
+    from the (g, h) rows on each read.
 
     In a genus-bounded run ``ns_of_f`` is exact for every F <= g_max, since
     a semigroup's genus never exceeds its Frobenius number.
@@ -180,11 +178,8 @@ class CensusTable:
 
     g_max: int
     frobenius_cap: int
-    n_of_g: list[int]
-    strongly_descended: list[int]
     f_lt_2m: list[int]
     f_lt_3m: list[int]
-    ye_correction: list[int]
     wilf_violations: list[int]
     wilf_witnesses: list[tuple[int, ...]]
     n_mg_flat: list[int]
@@ -199,9 +194,8 @@ class CensusTable:
         gh = width * (g_max + 3)              # efficacy h <= g + 1
         return cls(
             g_max=g_max, frobenius_cap=frobenius_cap,
-            n_of_g=[0] * width, strongly_descended=[0] * width,
             f_lt_2m=[0] * width, f_lt_3m=[0] * width,
-            ye_correction=[0] * width, wilf_violations=[0] * width,
+            wilf_violations=[0] * width,
             wilf_witnesses=[],
             n_mg_flat=[0] * ((g_max + 2) * width),  # multiplicity <= g + 1
             t_gh_flat=[0] * gh, s_gh_flat=[0] * gh,
@@ -209,6 +203,23 @@ class CensusTable:
         )
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def n_of_g(self) -> list[int]:
+        return [self.n(g) for g in range(self.g_max + 1)]
+
+    @property
+    def strongly_descended(self) -> list[int]:
+        return [self.s(g) for g in range(self.g_max + 1)]
+
+    @property
+    def ye_correction(self) -> list[int]:
+        """Sum of (h - 1)(h - 2) / 2 over the genus-g nodes, the correction
+        term of the exact second-order census identity.  The quadratic is
+        evaluated as a polynomial, so a childless node contributes 1."""
+        return [sum(c * ((h - 1) * (h - 2) >> 1)
+                    for h, c in enumerate(self._row(self.t_gh_flat, g)))
+                for g in range(self.g_max + 1)]
 
     @property
     def n_of_mg(self) -> Mapping[tuple[int, int], int]:
@@ -228,7 +239,7 @@ class CensusTable:
 
     def n(self, g: int) -> int:
         self._require(g)
-        return self.n_of_g[g]
+        return sum(self._row(self.t_gh_flat, g))
 
     def n_mg(self, m: int, g: int) -> int:
         self._require(g)
@@ -247,7 +258,7 @@ class CensusTable:
 
     def s(self, g: int) -> int:
         self._require(g)
-        return self.strongly_descended[g]
+        return sum(self._row(self.s_gh_flat, g))
 
     def s_gh(self, g: int, h: int) -> int:
         self._require(g)
@@ -263,6 +274,10 @@ class CensusTable:
     def _gh(self, flat: list[int], g: int, h: int) -> int:
         hw = self.g_max + 3
         return flat[g * hw + h] if 0 <= h < hw else 0
+
+    def _row(self, flat: list[int], g: int) -> list[int]:
+        hw = self.g_max + 3
+        return flat[g * hw:(g + 1) * hw]
 
     def _require(self, g: int) -> None:
         if g < 0 or g > self.g_max:
@@ -303,7 +318,7 @@ class CensusTable:
     # -- tabular views -----------------------------------------------------
 
     def rows_by_genus(self) -> list[tuple[int, int]]:
-        return [(g, self.n_of_g[g]) for g in range(self.g_max + 1)]
+        return list(enumerate(self.n_of_g))
 
     def rows_by_multiplicity(self) -> list[tuple[int, int, int]]:
         return [(m, g, c) for (m, g), c in self.n_of_mg.items()]
@@ -336,14 +351,11 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     Without collectors, child statistics at depth g_max are folded into the
     parent's loop so leaf tuples are never materialized.
     """
-    ng = table.n_of_g
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
     sgh = table.s_gh_flat
-    sg = table.strongly_descended
     f2m = table.f_lt_2m
     f3m = table.f_lt_3m
-    yc = table.ye_correction
     nsf = table.ns_flat
     wilf_bad = table.wilf_violations
     wilf_wit = table.wilf_witnesses
@@ -360,11 +372,9 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
         B, g, m, F, eff, mem, mg, s_in = node
         h = len(eff)
         e = mg.bit_count()
-        ng[g] += 1
         nmg[m * width + g] += 1
         tgh[g * hw + h] += 1
         if s_in:
-            sg[g] += 1
             sgh[g * hw + h] += 1
         m2 = m + m
         if F < m2:
@@ -372,7 +382,6 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             f3m[g] += 1
         elif F < m2 + m:
             f3m[g] += 1
-        yc[g] += (h - 1) * (h - 2) >> 1
         if 0 <= F <= ns_cap:
             nsf[F] += 1
         if F >= 0 and F + 1 > (F + 1 - g) * e:
@@ -414,18 +423,15 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                     if strong:
                         hc += 1
                         ec += 1
-                    ng[g1] += 1
                     nmg[m * width + g1] += 1
                     tgh[g1 * hw + hc] += 1
                     if strong:
-                        sg[g1] += 1
                         sgh[g1 * hw + hc] += 1
                     if lam < m2:
                         f2m[g1] += 1
                         f3m[g1] += 1
                     elif lam < m2 + m:
                         f3m[g1] += 1
-                    yc[g1] += (hc - 1) * (hc - 2) >> 1
                     if lam <= ns_cap:
                         nsf[lam] += 1
                     if lam + 1 > (lam + 1 - g1) * ec:
@@ -494,27 +500,30 @@ def enumerate_tree(
     number stays within the bound; counts other than ``ns_of_f`` then
     describe that restricted universe.
 
-    ``split_depth`` > 0 with ``workers`` > 1 runs in parallel; the value of
-    ``split_depth`` only switches this on.  The calling process walks the
-    chain of ordinary semigroups from the root, and each of their other
-    children roots one job on a pool of ``workers`` processes.  Results merge
-    in the fixed job order and witness lists keep the least gap tuples, so
-    the table is identical to a sequential run.  ``collectors`` maps names to
-    zero-argument factories producing per-worker collector instances
-    (module-level classes, so they survive pickling), merged into ``extras``
-    afterwards.
+    ``workers`` > 1 runs in parallel: the calling process walks the chain
+    of ordinary semigroups from the root, and each of their other children
+    roots one job on a pool of ``workers`` processes.  Results merge in the
+    fixed job order and witness lists keep the least gap tuples, so the
+    table is identical to a sequential run.  ``split_depth`` shapes nothing:
+    it is range-checked and otherwise ignored, and stays only while the
+    benchmark and acceptance criterion 3 still pass it.  ``collectors`` maps
+    names to zero-argument factories producing per-worker collector
+    instances (module-level classes, so they survive pickling), merged into
+    ``extras`` afterwards.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     if not 0 <= split_depth <= g_max:
         raise ValueError("split_depth must lie in [0, g_max]")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     lam_max = frobenius_max if frobenius_max is not None else 3 * g_max + 3
     table = CensusTable.empty(g_max, min(g_max, lam_max))
     factories = sorted(collectors.items()) if collectors else []
     table.extras = {name: make() for name, make in factories}
     made = list(table.extras.values())
 
-    if split_depth == 0 or workers <= 1 or g_max == 0:
+    if workers == 1 or g_max == 0:
         _walk(_root_frame(g_max), g_max, lam_max, table, made)
         return table
 
@@ -528,8 +537,7 @@ def enumerate_tree(
     return table
 
 
-def ns_by_frobenius(f_max: int, *, split_depth: int = 0,
-                    workers: int = 1) -> dict[int, int]:
+def ns_by_frobenius(f_max: int, *, workers: int = 1) -> dict[int, int]:
     """Exact count of numerical semigroups per Frobenius number F <= f_max.
 
     Descending only along generators <= f_max visits exactly the semigroups
@@ -539,8 +547,7 @@ def ns_by_frobenius(f_max: int, *, split_depth: int = 0,
     """
     if f_max < 1:
         raise ValueError("f_max must be positive")
-    table = enumerate_tree(f_max, split_depth=split_depth, workers=workers,
-                           frobenius_max=f_max)
+    table = enumerate_tree(f_max, workers=workers, frobenius_max=f_max)
     return {f: table.ns(f) for f in range(1, f_max + 1)}
 
 

@@ -88,9 +88,9 @@ def test_criterion_03_depth30_performance_oracle_determinism(timed30):
         ok = ok and by_genus[g] == brute_force_gapsets(g)
     ok = ok and harvest.n_of_g == table.n_of_g[:13]
 
-    # Byte-identical output across split/worker configurations.  With
-    # split_depth 0 the engine is sequential whatever the worker count, so
-    # the (0, w) column is the baseline itself.
+    # Byte-identical output across split/worker configurations.  Only
+    # workers > 1 starts the parallel walk; split_depth is range-checked and
+    # otherwise ignored, so the (d, 1) runs are sequential.
     baseline = _render_table(["genus", "count"], table.rows_by_genus(), "csv")
     for split, workers in [(3, 1), (6, 1), (3, 4), (6, 4)]:
         other = sf.enumerate_tree(30, split_depth=split, workers=workers)

@@ -1,13 +1,13 @@
 """Command-line surface: tables, records, verify sweeps, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from sgforge.cli import main, _resolve_workers
+import sgforge as sf
+from sgforge.cli import main
 
 # verify names without a parallel path.
 SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
@@ -17,6 +17,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_line_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 class TestCount:
@@ -79,9 +87,8 @@ class TestCount:
 
     def test_deterministic_across_configs(self, capsys):
         outputs = set()
-        for split, workers in [(0, 1), (3, 1), (3, 2), (5, 2)]:
+        for workers in (1, 2, 3):
             _, out, _ = run_cli(capsys, "count", "--max-genus", "12",
-                                "--split-depth", str(split),
                                 "--workers", str(workers))
             outputs.add(out)
         assert len(outputs) == 1
@@ -151,6 +158,16 @@ class TestVerify:
             "stats": {"rows": [[2, 1.0, 2.0], [3, 0.75, 2.0]]},
         }
 
+    @pytest.mark.parametrize("name,bound", [
+        ("bras-amoros", "0"),
+        ("bras-amoros", "1"),
+        ("pflueger", "0"),
+        ("buchweitz", "0"),
+        ("buchweitz", "1"),
+    ])
+    def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
+        one_line_error(capsys, "verify", name, "--max-genus", bound)
+
     def test_unknown_name_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "fermat"])
@@ -183,7 +200,7 @@ class TestVerify:
         from sgforge import cli
         from sgforge.conjectures import VerificationReport
 
-        def fake_run(name, bound, split_depth, workers):
+        def fake_run(name, bound, workers):
             return VerificationReport(name, {"g_max": bound},
                                       [{"gaps": [1, 2, 5]}], {})
 
@@ -196,26 +213,46 @@ class TestVerify:
 
 
 class TestParallelKnobs:
-    @staticmethod
-    def _run(argv, env=None):
-        return subprocess.run([sys.executable, "-m", "sgforge.cli", *argv],
-                              capture_output=True, text=True,
-                              env={**os.environ, **(env or {})})
+    @pytest.mark.parametrize("command", [["count"], ["verify", "wilf"]],
+                             ids=["count", "verify"])
+    def test_split_depth_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--max-genus", "5", "--split-depth", "3"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--split-depth" in captured.err
 
-    def test_split_depth_beyond_genus_is_one_line_error(self):
-        proc = self._run(["count", "--max-genus", "5", "--split-depth", "9"])
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert "split_depth" in proc.stderr
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_one_line_error(self, capsys, workers):
+        err = one_line_error(capsys, "count", "--max-genus", "5",
+                             "--workers", workers)
+        assert "workers" in err
 
-    def test_non_integer_threads_is_one_line_error(self):
-        proc = self._run(["count", "--max-genus", "5"],
-                         env={"SGFORGE_THREADS": "abc"})
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert "SGFORGE_THREADS" in proc.stderr
+    def test_workers_alone_runs_the_pool(self, capsys, monkeypatch):
+        # No split depth: workers > 1 alone walks the spine and farms out
+        # its off-spine children, and the output matches a sequential run.
+        from sgforge import tree
+
+        calls = []
+        real = tree._spine_frontier
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(tree, "_spine_frontier", spy)
+        seq = sf.enumerate_tree(12)
+        assert calls == []
+        assert sf.enumerate_tree(12, workers=2).counts_equal(seq)
+        assert calls == [12]
+        _, seq_out, _ = run_cli(capsys, "count", "--max-genus", "12",
+                                "--by", "efficacy")
+        code, par_out, _ = run_cli(capsys, "count", "--max-genus", "12",
+                                   "--by", "efficacy", "--workers", "2")
+        assert code == 0
+        assert par_out == seq_out
+        assert calls == [12, 12]
 
     def test_buchweitz_passes_parallel_knobs(self, capsys, monkeypatch):
         from sgforge import conjectures
@@ -227,35 +264,25 @@ class TestParallelKnobs:
             seen.update(kwargs)
             return real(bound, **kwargs)
 
-        monkeypatch.delenv("SGFORGE_THREADS", raising=False)
         monkeypatch.setattr(conjectures, "buchweitz_sweep", spy)
         code, _, _ = run_cli(capsys, "verify", "buchweitz", "--max-genus", "6",
-                             "--split-depth", "2", "--workers", "2")
+                             "--workers", "2")
         assert code == 0
-        assert seen == {"split_depth": 2, "workers": 2}
+        assert seen == {"workers": 2}
 
 
 class TestSequentialSweeps:
-    @staticmethod
-    def _one_line_error(capsys, *argv):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        return err
-
     @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
-    @pytest.mark.parametrize("knob", [["--workers", "2"],
-                                      ["--split-depth", "3"],
-                                      ["--workers", "1", "--split-depth", "0"]],
-                             ids=["workers", "split-depth", "both"])
+    @pytest.mark.parametrize("knob", [["--workers", "2"], ["--workers", "1"]],
+                             ids=["workers", "explicit-one"])
     def test_parallel_knobs_rejected(self, capsys, name, knob):
-        err = self._one_line_error(capsys, name, "--max-genus", "6", *knob)
+        err = one_line_error(capsys, "verify", name, "--max-genus", "6", *knob)
         assert name in err
 
     @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
     def test_thread_variable_alone_is_fine(self, capsys, monkeypatch, name):
-        monkeypatch.setenv("SGFORGE_THREADS", "2")
+        # SGFORGE_THREADS is no longer read, so not even a bad value matters.
+        monkeypatch.setenv("SGFORGE_THREADS", "abc")
         code, _out, err = run_cli(capsys, "verify", name, "--max-genus", "6")
         assert code == 0
         assert "ok" in err
@@ -267,21 +294,34 @@ class TestSequentialSweeps:
         ("recurrence", "0"),
     ])
     def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
-        self._one_line_error(capsys, name, "--max-genus", bound)
+        one_line_error(capsys, "verify", name, "--max-genus", bound)
 
 
 class TestWorkerResolution:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SGFORGE_THREADS", "3")
-        assert _resolve_workers(8) == 3
+    # --workers is passed through as given, and defaults to 1.
+    @staticmethod
+    def _workers_seen(capsys, monkeypatch, *knob):
+        from sgforge import cli
 
-    def test_explicit_request(self, monkeypatch):
-        monkeypatch.delenv("SGFORGE_THREADS", raising=False)
-        assert _resolve_workers(2) == 2
+        seen = []
+        real = cli.enumerate_tree
 
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("SGFORGE_THREADS", raising=False)
-        assert _resolve_workers(None) >= 1
+        def spy(g_max, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(g_max, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_tree", spy)
+        for command in (["count"], ["verify", "bras-amoros"]):
+            code, _, _ = run_cli(capsys, *command, "--max-genus", "6", *knob)
+            assert code == 0
+        return seen
+
+    def test_explicit_request(self, capsys, monkeypatch):
+        assert self._workers_seen(capsys, monkeypatch, "--workers", "2") \
+            == [2, 2]
+
+    def test_default_positive(self, capsys, monkeypatch):
+        assert self._workers_seen(capsys, monkeypatch) == [1, 1]
 
 
 class TestEntryPoint:

@@ -163,6 +163,11 @@ class TestBuchweitz:
         assert report.stats["failures"] == {}
         assert report.stats["first_failure_genus"] is None
 
+    def test_vacuous_bound_rejected(self):
+        assert sf.buchweitz_sweep(2).stats["totals"] == {2: 2}
+        with pytest.raises(ValueError):
+            sf.buchweitz_sweep(1)
+
     def test_first_failures_appear_at_genus_16(self):
         # Recorded from the exhaustive sweep: exactly two genus-16 gap sets
         # exceed the sumset bound, the classical {1..12, 19, 21, 24, 25}
@@ -194,13 +199,13 @@ class FrameLog:
 class TestParallelSweeps:
     def test_buchweitz_witnesses_independent_of_schedule(self):
         seq = sf.buchweitz_sweep(18)
-        par = sf.buchweitz_sweep(18, split_depth=3, workers=2)
+        par = sf.buchweitz_sweep(18, workers=2)
         assert seq.stats == par.stats
         assert seq.stats["witnesses"] == sorted(seq.stats["witnesses"])
 
     def test_pflueger_independent_of_schedule(self):
         assert sf.pflueger_sweep(16).stats == \
-            sf.pflueger_sweep(16, split_depth=3, workers=2).stats
+            sf.pflueger_sweep(16, workers=2).stats
 
     def test_ewt_argmax_ignores_visit_and_merge_order(self):
         from sgforge.conjectures import EwtMaxCollector
@@ -251,6 +256,11 @@ class TestPflueger:
         for g, (mx, bound) in rows.items():
             assert mx <= bound
 
+    def test_vacuous_bound_rejected(self):
+        assert sf.pflueger_sweep(1).stats["rows"] == [(1, 0, 0)]
+        with pytest.raises(ValueError):
+            sf.pflueger_sweep(0)
+
 
 class TestConcentration:
     def test_genus_one_band_is_empty(self):
@@ -266,7 +276,7 @@ class TestConcentration:
 
     def test_parallel_matches_sequential(self):
         seq = sf.concentration_sweep(9, 0.25)
-        par = sf.concentration_sweep(9, 0.25, split_depth=3, workers=3)
+        par = sf.concentration_sweep(9, 0.25, workers=3)
         assert seq == par
 
     def test_frozen_baselines_eps_quarter(self):
@@ -300,6 +310,12 @@ class TestRatioReport:
 
     def test_assertions_hold(self, census22):
         assert sf.ratio_report(census22).ok
+
+    def test_vacuous_bound_rejected(self):
+        assert sf.ratio_report(sf.enumerate_tree(2)).stats["rows"] \
+            == [(2, 1.0, 2.0)]
+        with pytest.raises(ValueError):
+            sf.ratio_report(sf.enumerate_tree(1))
 
     def test_report_json_shape(self, census16):
         data = sf.ratio_report(census16).to_json()

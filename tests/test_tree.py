@@ -234,7 +234,7 @@ class TestNsByFrobenius:
 
     def test_parallel_pruned_run(self):
         seq = sf.ns_by_frobenius(14)
-        par = sf.ns_by_frobenius(14, split_depth=3, workers=3)
+        par = sf.ns_by_frobenius(14, workers=3)
         assert seq == par
 
     def test_minimal_bound(self):
