@@ -19,10 +19,10 @@ from .tree import enumerate_tree, ns_by_frobenius
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the verify contract reserves 2 for
-    # genuine violations, so usage errors exit 1 instead.
+    # genuine violations, so usage errors exit 1 instead, with the same one
+    # stderr line as every other bad input.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
 
 

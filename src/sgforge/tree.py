@@ -17,7 +17,10 @@ minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
 generator.  The walk tallies each node straight into a
 :class:`CensusTable` and, when collectors are given, hands them a lazy
-:class:`TreeFrame` built from the tuple.
+:class:`TreeFrame` built from the tuple.  Without collectors, children
+with no admissible edge (at depth g_max, or left with no effective
+generator within the edge bound) are tallied in the parent's loop and
+never materialized.
 
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
@@ -348,8 +351,10 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     tallied exactly once and handed to each collector as a
     :class:`TreeFrame`.  Children at depth ``frontier_depth`` are returned
     instead of visited so a driver can hand their subtrees to workers.
-    Without collectors, child statistics at depth g_max are folded into the
-    parent's loop so leaf tuples are never materialized.
+    Without collectors, children with no admissible edge (at depth g_max,
+    or with no effective generator <= lam_max) are tallied in the parent's
+    loop and never materialized; frontier children and the ordinary child
+    are always built.
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
@@ -395,7 +400,8 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
         if g1 > g_max:
             continue
         collect = g1 == frontier_depth
-        leaf = g1 == g_max and not collect and not collectors
+        fold = not collect and not collectors
+        last = g1 == g_max
         for i in range(h):
             lam = eff[i]
             if lam > lam_max:
@@ -403,7 +409,8 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             if lam == m:
                 # Ordinary node: removing the multiplicity itself yields the
                 # next ordinary semigroup, adding generators 2m and 2m + 1.
-                # There is one per level, so it is never worth folding.
+                # There is one per level, so unlike the childless children
+                # below it is never folded into this loop.
                 child = (B ^ (1 << lam), g1, m + 1, lam,
                          eff[1:] + (m2, m2 + 1), mem[1:],
                          (mg ^ (1 << lam)) | (3 << m2), True)
@@ -417,7 +424,11 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                     if (B >> (x - u)) & 1:
                         strong = False
                         break
-                if leaf:
+                # A child at depth g_max, or with no effective generator
+                # (eff[i + 1:], plus x when strong) up to lam_max, has no
+                # admissible edge: tally it here instead of pushing it.
+                if fold and (last or not (strong and x <= lam_max)
+                             and (i + 1 == h or eff[i + 1] > lam_max)):
                     hc = h - i - 1
                     ec = e - 1
                     if strong:

@@ -338,3 +338,22 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "sgforge.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+class TestUsageErrors:
+    # argparse's own errors follow the same contract as every other bad
+    # input: exit 1, nothing on stdout, one "error:" line on stderr.
+    @pytest.mark.parametrize("argv", [
+        ["count", "--max-genus", "5", "--bogus"],
+        ["count", "--max-genus", "5", "--by", "colour"],
+        ["count", "--max-genus", "five"],
+        [],
+    ], ids=["unknown-flag", "bad-choice", "non-integer", "no-subcommand"])
+    def test_one_line_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")

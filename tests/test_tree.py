@@ -74,6 +74,16 @@ class GapSetCollector:
         return self
 
 
+class NoopCollector:
+    # Any collector switches the walk to building every child, so a no-op
+    # one gives an unfolded reference walk.
+    def visit(self, frame):
+        pass
+
+    def merge(self, other):
+        return self
+
+
 # -- reference counts --------------------------------------------------------
 
 class TestCounts:
@@ -262,6 +272,28 @@ class TestDeterminism:
         fast = sf.enumerate_tree(11)
         rich = sf.enumerate_tree(11, collectors={"gapsets": GapSetCollector})
         assert fast.counts_equal(rich)
+
+    @pytest.mark.parametrize("g_max", range(15))
+    def test_folded_walk_matches_unfolded_walk(self, g_max):
+        # Childless children are tallied in the parent's loop only without
+        # collectors.  Under a Frobenius bound a child can also be childless
+        # because every effective generator it keeps lies above the bound.
+        bounds = [None] + sorted({f for f in (1, 3, g_max // 2 + 1, g_max,
+                                              g_max + 3, 2 * g_max + 1)
+                                  if f >= 1})
+        for f_max in bounds:
+            fast = sf.enumerate_tree(g_max, frobenius_max=f_max)
+            slow = sf.enumerate_tree(g_max, frobenius_max=f_max,
+                                     collectors={"noop": NoopCollector})
+            assert fast.counts_equal(slow), f_max
+            assert fast.wilf_witnesses == slow.wilf_witnesses, f_max
+
+    def test_folded_pruned_walk_in_parallel(self):
+        assert sf.ns_by_frobenius(14, workers=2) == sf.ns_by_frobenius(14)
+        par = sf.enumerate_tree(14, frobenius_max=14, workers=2)
+        seq = sf.enumerate_tree(14, frobenius_max=14)
+        assert par.counts_equal(seq)
+        assert par.wilf_witnesses == seq.wilf_witnesses
 
     def test_parallel_rich_collectors(self):
         seq = sf.enumerate_tree(10, collectors={"gapsets": GapSetCollector})
