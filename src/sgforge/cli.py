@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                 "verify": _cmd_verify}
     try:
         return commands[args.command](args)
-    except (SemigroupError, ValueError) as exc:
+    except (SemigroupError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

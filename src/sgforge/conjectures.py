@@ -205,23 +205,15 @@ def ordinarize(sg: NumericalSemigroup) -> NumericalSemigroup:
     return NumericalSemigroup(gaps)
 
 
+def _ordinarization(mask: int, genus: int) -> int:
+    # r(S) = |S ∩ [1, g]|: a step swaps the multiplicity (<= g) for the
+    # Frobenius number (> g), and only an ordinary S has no member in [1, g].
+    return (mask & ((1 << (genus + 1)) - 2)).bit_count()
+
+
 def ordinarization_number(sg: NumericalSemigroup) -> int:
     """Steps of the transform needed to reach the ordinary semigroup."""
-    return _ordinarization_steps(sg.gaps())
-
-
-def _ordinarization_steps(gap_tuple: tuple[int, ...]) -> int:
-    gaps = list(gap_tuple)
-    g = len(gaps)
-    steps = 0
-    while gaps and gaps[-1] != g:
-        # Multiplicity = least positive integer missing from the gap list.
-        i = 0
-        while i < g and gaps[i] == i + 1:
-            i += 1
-        gaps = gaps[:i] + [i + 1] + gaps[i:-1]
-        steps += 1
-    return steps
+    return _ordinarization(sg._mask, sg.genus)
 
 
 class OrdinarizationCollector:
@@ -231,7 +223,7 @@ class OrdinarizationCollector:
         self.counts: dict[tuple[int, int], int] = {}
 
     def visit(self, frame: TreeFrame) -> None:
-        key = (frame.genus, _ordinarization_steps(frame.gap_tuple()))
+        key = (frame.genus, _ordinarization(frame.mask, frame.genus))
         self.counts[key] = self.counts.get(key, 0) + 1
 
     def merge(self, other: "OrdinarizationCollector") -> "OrdinarizationCollector":
@@ -282,13 +274,14 @@ def ordinarization_sweep(g_max: int = 18, *,
 
 def gap_sumset_size(gaps: tuple[int, ...]) -> int:
     """|L + L| for the gap set L, by shifted-bitmask union."""
-    amask = 0
-    for x in gaps:
-        amask |= 1 << x
+    return _sumset(sum(1 << x for x in set(gaps))).bit_count()
+
+
+def _sumset(gap_mask: int) -> int:
     sums = 0
-    for x in gaps:
-        sums |= amask << x
-    return sums.bit_count()
+    for x in _bits(gap_mask):
+        sums |= gap_mask << x
+    return sums
 
 
 def buchweitz_check(sg: NumericalSemigroup) -> bool:
@@ -310,16 +303,25 @@ class BuchweitzCollector:
         self.failures: dict[int, int] = {}
         self.totals: dict[int, int] = {}
         self.witnesses: list[tuple[int, ...]] = []
+        self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, L + L)
 
     def visit(self, frame: TreeFrame) -> None:
         g = frame.genus
+        f = frame.frobenius
+        gap_mask = ((1 << (f + 1)) - 1) & ~frame.mask
+        last = self._last.get(g - 1)
+        if last is not None and last[0] == frame.mask | (1 << f):
+            # The parent's gaps plus f: L_c + L_c = (L_p + L_p) | (L_c + f).
+            sums = last[1] | (gap_mask << f)
+        else:
+            sums = _sumset(gap_mask)
+        self._last[g] = (frame.mask, sums)
         if g < 2:
             return
         self.totals[g] = self.totals.get(g, 0) + 1
-        gaps = frame.gap_tuple()
-        if gap_sumset_size(gaps) > 3 * (g - 1):
+        if sums.bit_count() > 3 * (g - 1):
             self.failures[g] = self.failures.get(g, 0) + 1
-            _add_witness(self.witnesses, gaps)
+            _add_witness(self.witnesses, frame.gap_tuple())
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
         for g, c in other.totals.items():
@@ -373,19 +375,22 @@ class EwtMaxCollector:
         self.max_by_genus: dict[int, int] = {}
         self.argmax: dict[int, tuple[int, ...]] = {}
         self.argmax_mask: dict[int, int] = {}
+        self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, ewt)
 
     def visit(self, frame: TreeFrame) -> None:
         f = frame.frobenius
+        g = frame.genus
+        mg = frame.min_generator_mask
+        last = self._last.get(g - 1)
+        if last is not None and last[0] == frame.mask | (1 << f):
+            # Gap f adds the generators below it; any gained lie above f.
+            ewt = last[1] + (mg & ((1 << f) - 1)).bit_count()
+        else:
+            ewt = sum((mg & ((1 << x) - 1)).bit_count()
+                      for x in _bits(((1 << (f + 1)) - 1) & ~frame.mask))
+        self._last[g] = (frame.mask, ewt)
         if f < 1:
             return
-        window = (1 << (f + 1)) - 2
-        gap_mask = window & ~frame.mask
-        g = frame.genus
-        ewt = 0
-        for n in _bits(frame.min_generator_mask):
-            if n >= f:
-                break
-            ewt += g - (gap_mask & ((1 << (n + 1)) - 1)).bit_count()
         best = self.max_by_genus.get(g, -1)
         if ewt > best or (ewt == best and
                           _gaps_precede(frame.mask, self.argmax_mask[g])):

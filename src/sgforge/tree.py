@@ -140,7 +140,12 @@ class TreeFrame:
 
 
 class Collector(Protocol):
-    """Per-node statistic that merges as a commutative monoid."""
+    """Per-node statistic that merges as a commutative monoid.
+
+    The walk is pre-order: the last node visited at depth g - 1 is the
+    parent of a node at depth g, except at the root and each parallel job
+    root.  Confirm it by its mask, ``frame.mask | (1 << frame.frobenius)``.
+    """
 
     def visit(self, frame: TreeFrame) -> None: ...
 

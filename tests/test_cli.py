@@ -357,3 +357,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        ["count", "--max-genus", "3"],
+        ["verify", "pflueger", "--max-genus", "3"],
+    ], ids=["count", "verify"])
+    def test_unopenable_output_is_one_line_error(self, capsys, tmp_path,
+                                                 command):
+        path = tmp_path / "missing" / "x.csv"
+        err = one_line_error(capsys, *command, "--output", str(path))
+        assert str(path) in err
+        assert not path.exists()

@@ -1,9 +1,11 @@
 """Identity and conjecture sweeps at test scale (acceptance runs go deeper)."""
 
+from collections import Counter
+
 import pytest
 
 import sgforge as sf
-from sgforge.conjectures import PHI
+from sgforge.conjectures import PHI, BuchweitzCollector, EwtMaxCollector
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
 
 
@@ -121,6 +123,32 @@ class TestOrdinarization:
     def test_sweep(self):
         assert sf.ordinarization_sweep(12).ok
 
+    def test_popcount_matches_step_simulation(self):
+        table = sf.enumerate_tree(16, collectors={"log": FrameLog})
+        expected = Counter()
+        for g, frames in table.extras["log"].by_genus.items():
+            for frame in frames:
+                steps = _ordinarization_steps(frame.gap_tuple())
+                assert sf.ordinarization_number(frame.semigroup) == steps
+                expected[g, steps] += 1
+        assert sum(expected.values()) == 11770   # sum of N(g), g <= 16
+        assert sf.ordinarization_census(16) == dict(expected)
+
+
+def _ordinarization_steps(gap_tuple):
+    """Reference: apply the transform to the gap list until it is ordinary."""
+    gaps = list(gap_tuple)
+    g = len(gaps)
+    steps = 0
+    while gaps and gaps[-1] != g:
+        # Multiplicity = least positive integer missing from the gap list.
+        i = 0
+        while i < g and gaps[i] == i + 1:
+            i += 1
+        gaps = gaps[:i] + [i + 1] + gaps[i:-1]
+        steps += 1
+    return steps
+
 
 class TestBuchweitz:
     def test_ordinary_passes(self):
@@ -237,6 +265,97 @@ class TestParallelSweeps:
                 for b in frames:
                     assert _gaps_precede(a.mask, b.mask) == \
                         (a.gap_tuple() < b.gap_tuple())
+
+
+class IncrementalAudit:
+    """Mixin over a stock collector that keeps ``_last[genus] = (mask,
+    value)``: after each visit it compares the stored value with one
+    computed from scratch, and records the nodes visited without their
+    parent as the last node one level up."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes = 0
+        self.wrong = 0
+        self.orphans = []
+
+    def visit(self, frame):
+        last = self._last.get(frame.genus - 1)
+        if last is None or last[0] != frame.mask | (1 << frame.frobenius):
+            self.orphans.append(frame.mask)
+        super().visit(frame)
+        self.nodes += 1
+        if self._last[frame.genus] != (frame.mask, self.scratch(frame)):
+            self.wrong += 1
+
+    def merge(self, other):
+        super().merge(other)
+        self.nodes += other.nodes
+        self.wrong += other.wrong
+        self.orphans += other.orphans
+        return self
+
+
+class EwtAudit(IncrementalAudit, EwtMaxCollector):
+    @staticmethod
+    def scratch(frame):
+        return frame.semigroup.effective_weight
+
+
+class SumsetAudit(IncrementalAudit, BuchweitzCollector):
+    @staticmethod
+    def scratch(frame):
+        gaps = frame.gap_tuple()
+        return sum(1 << s for s in {a + b for a in gaps for b in gaps})
+
+
+class TestIncrementalCollectors:
+    G_MAX = 14
+
+    def _expected_orphans(self, workers):
+        # The root, and with a pool each job root, which starts in a fresh
+        # collector.
+        from sgforge.tree import CensusTable, _root_frame, _spine_frontier
+
+        g = self.G_MAX
+        roots = [_root_frame(g)]
+        if workers > 1:
+            roots += _spine_frontier(g, 3 * g + 3, CensusTable.empty(g, g))
+        return sorted(frame[0] for frame in roots)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
+                             ids=["ewt", "sumset"])
+    def test_edge_update_equals_scratch(self, audit, workers):
+        table = sf.enumerate_tree(self.G_MAX, workers=workers,
+                                  collectors={"audit": audit})
+        coll = table.extras["audit"]
+        assert coll.nodes == sum(table.n_of_g) == 4107
+        assert coll.wrong == 0
+        assert sorted(coll.orphans) == self._expected_orphans(workers)
+
+    @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
+                             ids=["ewt", "sumset"])
+    def test_near_parent_is_not_reused(self, audit):
+        # S plus a gap x other than its Frobenius number, when that is a
+        # semigroup, holds every member of S but is not its parent; visited
+        # just before S, it must send S to the scratch path.
+        table = sf.enumerate_tree(10, collectors={"log": FrameLog})
+        frames = [f for fs in table.extras["log"].by_genus.values()
+                  for f in fs]
+        by_mask = {f.mask: f for f in frames}
+        coll = audit()
+        children = Counter()
+        for child in frames:
+            for x in child.gap_tuple()[:-1]:
+                near = by_mask.get(child.mask | (1 << x))
+                if near is not None:
+                    coll.visit(near)
+                    coll.visit(child)
+                    children[child.mask] += 1
+        assert children.total() > 100
+        assert coll.wrong == 0
+        assert not children - Counter(coll.orphans)
 
 
 class TestPflueger:
