@@ -84,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
-
 def _render_table(headers: list[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "json":
         objs = [dict(zip(headers, row)) for row in rows]
@@ -101,7 +93,7 @@ def _render_table(headers: list[str], rows: list[tuple], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, out) -> int:
     g_max = args.max_genus
     if g_max < 0:
         print("error: --max-genus must be nonnegative", file=sys.stderr)
@@ -124,11 +116,11 @@ def _cmd_count(args) -> int:
         else:
             text = _render_table(["g", "h", "count"],
                                  table.rows_by_efficacy(), args.format)
-    _emit(text, args.output)
+    out.write(text)
     return 0
 
 
-def _cmd_inspect(args) -> int:
+def _cmd_inspect(args, out) -> int:
     sg = from_generators(args.generators)
     record = sg.to_record()
     weight, ewt, partition = sg.weight_data()
@@ -136,7 +128,7 @@ def _cmd_inspect(args) -> int:
     wilf = conjectures.check_wilf(sg)
     record["wilf"] = {"holds": wilf.holds, "f_plus_1": wilf.f_plus_1,
                       "n": wilf.n, "e": wilf.e}
-    _emit(json.dumps(record) + "\n", args.output)
+    out.write(json.dumps(record) + "\n")
     return 0
 
 
@@ -185,7 +177,7 @@ def _report_rows(report) -> tuple[list[str], list[tuple]]:
     return [], []
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     if args.name in _SEQUENTIAL_SWEEPS and args.workers is not None:
         raise ValueError(f"verify {args.name} runs sequentially and takes "
                          "no --workers")
@@ -194,11 +186,11 @@ def _cmd_verify(args) -> int:
         else _VERIFY_DEFAULT_RANGE[args.name]
     report = _run_verify(args.name, bound, workers)
     if args.format == "json":
-        _emit(json.dumps(report.to_json()) + "\n", args.output)
+        out.write(json.dumps(report.to_json()) + "\n")
     else:
         headers, rows = _report_rows(report)
         if rows:
-            _emit(_render_table(headers, rows, "csv"), args.output)
+            out.write(_render_table(headers, rows, "csv"))
         status = "ok" if report.ok else "VIOLATIONS"
         print(f"verify {report.name}: {status} "
               f"({json.dumps(report.params)})", file=sys.stderr)
@@ -214,10 +206,19 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"count": _cmd_count, "inspect": _cmd_inspect,
                 "verify": _cmd_verify}
     try:
-        return commands[args.command](args)
-    except (SemigroupError, ValueError, OSError) as exc:
+        out = sys.stdout if args.output is None else \
+            open(args.output, "w", newline="")   # before the walk: fail fast
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        return commands[args.command](args, out)
+    except (SemigroupError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

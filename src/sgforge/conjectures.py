@@ -386,8 +386,7 @@ class EwtMaxCollector:
             # Gap f adds the generators below it; any gained lie above f.
             ewt = last[1] + (mg & ((1 << f) - 1)).bit_count()
         else:
-            ewt = sum((mg & ((1 << x) - 1)).bit_count()
-                      for x in _bits(((1 << (f + 1)) - 1) & ~frame.mask))
+            ewt = frame.semigroup.effective_weight
         self._last[g] = (frame.mask, ewt)
         if f < 1:
             return

@@ -362,8 +362,16 @@ class TestUsageErrors:
         ["count", "--max-genus", "3"],
         ["verify", "pflueger", "--max-genus", "3"],
     ], ids=["count", "verify"])
-    def test_unopenable_output_is_one_line_error(self, capsys, tmp_path,
-                                                 command):
+    def test_unopenable_output_is_one_line_error(self, capsys, monkeypatch,
+                                                 tmp_path, command):
+        from sgforge import cli
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk ran before --output was opened")
+
+        # The path is tried before the walk, so a bad one costs no sweep.
+        monkeypatch.setattr(cli, "enumerate_tree", no_walk)
+        monkeypatch.setattr(cli, "_run_verify", no_walk)
         path = tmp_path / "missing" / "x.csv"
         err = one_line_error(capsys, *command, "--output", str(path))
         assert str(path) in err

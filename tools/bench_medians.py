@@ -1,10 +1,9 @@
 """Medians of the benchmark's end-to-end metrics, written as one JSON file.
 
     python3 tools/bench_medians.py BENCH_6.json
-    python3 tools/bench_medians.py out.json --runs 5 --workload sweeps
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` for
-seeds 1..runs on each workload in turn, never two at once, with the run
+seeds 1..3 on each workload in turn, never two at once, with the run
 length and the workloads that ``BENCHMARK.json`` declares.  The file holds
 each end-to-end metric's median and per-run values, every run's check
 counts, and the host's nproc, the Python version and the git revision
@@ -25,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+SEEDS = (1, 2, 3)
 
 
 def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -46,20 +46,12 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out", type=Path, help="JSON file to write")
-    p.add_argument("--runs", type=int, default=3,
-                   help="runs per workload, seeds 1..runs (at least 3)")
-    p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in bench["workloads"]],
-                   help="repeatable; default every workload")
     args = p.parse_args(argv)
-    if args.runs < 3:
-        p.error("--runs must be at least 3")
     seconds = bench["run_seconds"]
-    names = args.workload or [w["name"] for w in bench["workloads"]]
     workloads, host = {}, set()
-    for name in names:
+    for name in (w["name"] for w in bench["workloads"]):
         runs = []
-        for seed in range(1, args.runs + 1):
+        for seed in SEEDS:
             try:
                 record, result = run_once(name, seed, seconds)
             except (RuntimeError, subprocess.SubprocessError,
@@ -92,8 +84,7 @@ def main(argv=None) -> int:
     (nproc, python, revision), = host
     args.out.write_text(json.dumps({
         "nproc": nproc, "python": python, "git_revision": revision,
-        "seconds": seconds, "runs": args.runs, "seeds": list(
-            range(1, args.runs + 1)),
+        "seconds": seconds, "runs": len(SEEDS), "seeds": list(SEEDS),
         "workloads": workloads,
     }, indent=2) + "\n")
     return 0
