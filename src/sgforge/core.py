@@ -15,10 +15,11 @@ share between threads or processes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import compress, count
+from operator import ge, sub
+from typing import Iterable
 
 from .errors import EmptyGenerators, GcdNotOne, NotAMember, NotEffective
 
@@ -57,9 +58,9 @@ class Partition:
 
     def __post_init__(self):
         ps = self.parts
-        if any(p <= 0 for p in ps):
+        if ps and min(ps) <= 0:
             raise ValueError("partition parts must be positive")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+        if not all(map(ge, ps, ps[1:])):
             raise ValueError("partition parts must be weakly decreasing")
 
     @property
@@ -70,19 +71,27 @@ class Partition:
         return len(self.parts)
 
 
-def _bits(mask: int) -> Iterator[int]:
+# bin() digits to bytes that are true exactly for the set bits.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _positive_ints(values: list) -> bool:
+    """True iff each value is an int >= 1 (the exact type: not a bool)."""
+    return set(map(type, values)) <= {int} and min(values, default=1) >= 1
 
 
 class NumericalSemigroup:
     """An immutable numerical semigroup.
 
     Use :func:`from_generators`, :func:`from_gaps`, or :func:`ordinary` to
-    build instances; the constructor itself expects a validated gap tuple.
+    build instances.  The constructor takes the gaps, checks that each is a
+    positive integer and that the other nonnegative integers are closed
+    under addition, and raises ValueError otherwise.
     """
 
     __slots__ = ("_mask", "frobenius", "multiplicity", "genus", "min_generators")
@@ -94,29 +103,37 @@ class NumericalSemigroup:
     min_generators: tuple[int, ...]
 
     def __init__(self, gaps: Iterable[int]):
-        gap_list = sorted(set(gaps))
-        if any(not isinstance(x, int) or x < 1 for x in gap_list):
+        gap_list = list(gaps)
+        if not _positive_ints(gap_list):
             raise ValueError("gaps must be positive integers")
-        frob = gap_list[-1] if gap_list else -1
-        mask = (1 << (frob + 2)) - 1
-        for x in gap_list:
-            mask ^= 1 << x
-        # Closure of the complement: no two nonzero members may sum to a gap.
+        # Distinct powers of two, so the sum is their OR.
+        self._init_from_gap_mask(sum(map((1).__lshift__, set(gap_list))))
+
+    def _init_from_gap_mask(self, gap_mask: int) -> None:
+        # Every constructor ends here; bit x of gap_mask is set for each gap.
+        frob = gap_mask.bit_length() - 1
+        mask = ((1 << (frob + 2)) - 1) ^ gap_mask
         nonzero = mask & -2
-        gap_mask = ((1 << (frob + 2)) - 1) & ~mask
-        for u in _bits(nonzero):
-            if 2 * u > frob:
-                break
-            if (nonzero << u) & gap_mask:
-                raise ValueError("complement is not closed under addition")
+        mult = (nonzero & -nonzero).bit_length() - 1 if nonzero else 1
+        # On the members up to F + m, the Apéry elements are the x with
+        # x - m not a member.  Every member is an Apéry element plus a
+        # multiple of m, so the members are closed under addition iff adding
+        # m or two Apéry elements never lands on a gap.  The minimal
+        # generators are m and the Apéry elements that are no such sum.
+        limit = frob + mult
+        ext = ((1 << (limit + 1)) - 1) ^ gap_mask
+        apery = ext & ~(ext << mult) & -2
+        sums = 0
+        for u in _bits(apery & ((1 << (limit // 2 + 1)) - 1)):
+            sums |= apery << u
+        if ((ext << mult) | sums) & gap_mask:
+            raise ValueError("complement is not closed under addition")
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "frobenius", frob)
-        object.__setattr__(self, "genus", len(gap_list))
-        mult = 1
-        while not (mask >> mult) & 1 and mult <= frob:
-            mult += 1
+        object.__setattr__(self, "genus", gap_mask.bit_count())
         object.__setattr__(self, "multiplicity", mult)
-        object.__setattr__(self, "min_generators", self._minimal_generators())
+        object.__setattr__(self, "min_generators",
+                           tuple(_bits(apery & ~sums | (1 << mult))))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup instances are immutable")
@@ -134,10 +151,11 @@ class NumericalSemigroup:
         """All members in [0, upto]."""
         return [x for x in range(upto + 1) if x in self]
 
+    def _gap_mask(self) -> int:
+        return ((1 << (self.frobenius + 2)) - 1) ^ self._mask
+
     def gaps(self) -> tuple[int, ...]:
-        f = self.frobenius
-        window = (1 << (f + 2)) - 1
-        return tuple(_bits(window & ~self._mask))
+        return tuple(_bits(self._gap_mask()))
 
     # -- invariants ------------------------------------------------------
 
@@ -148,22 +166,6 @@ class NumericalSemigroup:
     def is_ordinary(self) -> bool:
         """True for {0} followed by every integer above the genus (and for N0)."""
         return self.multiplicity > self.frobenius
-
-    def _minimal_generators(self) -> tuple[int, ...]:
-        # A member is a minimal generator iff it is not the sum of two
-        # nonzero members.  Minimal generators lie in [m, F + m].
-        f = self.frobenius
-        m = self.multiplicity
-        limit = max(m, f + m)
-        ext = self._mask | (((1 << (limit + 1)) - (1 << (f + 1))) if limit > f else 0)
-        nonzero = ext & -2
-        sums = 0
-        for u in _bits(nonzero):
-            if 2 * u > limit:
-                break
-            sums |= nonzero << u
-        window = (1 << (limit + 1)) - 1
-        return tuple(_bits(nonzero & ~sums & window))
 
     def apery_set(self, n: int | None = None) -> list[int]:
         """Least member in each residue class mod ``n`` (default multiplicity).
@@ -176,13 +178,9 @@ class NumericalSemigroup:
             n = self.multiplicity
         if n < 1 or n not in self:
             raise NotAMember(f"{n} is not a positive member")
-        out = [0] * n
-        for i in range(1, n):
-            x = i
-            while x not in self:
-                x += n
-            out[i] = x
-        return out
+        # Character x is 1 iff x is a member; every x > F is one.
+        bits = bin(self._mask)[:1:-1] + "1" * n
+        return [i + n * bits[i::n].index("1") for i in range(n)]
 
     # -- tree-facing operations ------------------------------------------
 
@@ -217,7 +215,7 @@ class NumericalSemigroup:
         """Child semigroup obtained by deleting an effective generator."""
         if lam <= self.frobenius or lam not in self.min_generators:
             raise NotEffective(f"{lam} is not an effective generator")
-        return NumericalSemigroup(self.gaps() + (lam,))
+        return _from_gap_mask(self._gap_mask() | (1 << lam))
 
     # -- weight data -------------------------------------------------------
 
@@ -230,12 +228,14 @@ class NumericalSemigroup:
         partition = row lengths of the region cut out by the membership path
                     on [0, 2g]; its size is always weight + genus.
         """
-        gap_list = self.gaps()
-        weight = sum(l - i for i, l in enumerate(gap_list, start=1))
-        gens = self.min_generators
-        ewt = sum(bisect_left(gens, l) for l in gap_list)
-        parts = tuple(l - i for i, l in zip(range(len(gap_list) - 1, -1, -1),
-                                            reversed(gap_list)))
+        gap_mask = self._gap_mask()
+        gaps = _bits(gap_mask)
+        g = len(gaps)
+        weight = sum(gaps) - g * (g + 1) // 2
+        # Summed the other way round: each minimal generator counts the
+        # gaps above it.
+        ewt = sum((gap_mask >> n).bit_count() for n in self.min_generators)
+        parts = tuple(map(sub, reversed(gaps), range(g - 1, -1, -1)))
         return weight, ewt, Partition(parts)
 
     @property
@@ -284,6 +284,13 @@ class NumericalSemigroup:
         return f"NumericalSemigroup(<{gens}>)"
 
 
+def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
+    """The semigroup whose gaps are the set bits of ``gap_mask``."""
+    sg = object.__new__(NumericalSemigroup)
+    sg._init_from_gap_mask(gap_mask)
+    return sg
+
+
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
     """Build a semigroup from its exact gap set, validating closure."""
     return NumericalSemigroup(gaps)
@@ -292,42 +299,33 @@ def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """The semigroup of all nonnegative combinations of ``gens``.
 
-    Raises :class:`EmptyGenerators` on an empty set and :class:`GcdNotOne`
-    when the generators have a common factor (the complement would be
-    infinite).
+    Raises :class:`EmptyGenerators` on an empty set, ValueError unless every
+    generator is a positive integer, and :class:`GcdNotOne` when the
+    generators have a common factor (the complement would be infinite).
     """
-    gen_list = sorted(set(gens))
+    gen_list = list(gens)
     if not gen_list:
         raise EmptyGenerators("need at least one generator")
-    if any(not isinstance(n, int) or n < 1 for n in gen_list):
+    if not _positive_ints(gen_list):
         raise ValueError("generators must be positive integers")
+    gen_list = sorted(set(gen_list))
     if math.gcd(*gen_list) != 1:
         raise GcdNotOne(f"gcd of {gen_list} is {math.gcd(*gen_list)}")
-    if gen_list[0] == 1:
-        return NumericalSemigroup(())
     m = gen_list[0]
-    top = gen_list[-1]
-    width = 2 * top + 2
+    width = 2 * gen_list[-1] + 2
     while True:
-        window = (1 << (width + 1)) - 1
+        # Members below ``width``: add each generator's multiples 0..k by
+        # doubling the shift, which is exact below the window.
+        window = (1 << width) - 1
         mask = 1
-        # Saturate the reachable set within the window.
-        while True:
-            grown = mask
-            for n in gen_list:
-                grown |= (grown << n) & window
-            if grown == mask:
-                break
-            mask = grown
-        # A run of m consecutive members marks the end of the gaps.
-        run = mask
-        for i in range(1, m):
-            run &= mask >> i
-        if run:
-            start = (run & -run).bit_length() - 1
-            zeros = ~mask & ((1 << start) - 1)
-            gap_tuple = tuple(_bits(zeros))
-            return NumericalSemigroup(gap_tuple)
+        for n in gen_list:
+            while n < width:
+                mask |= (mask << n) & window
+                n <<= 1
+        gap_mask = window ^ mask
+        # m members in a row above the last gap end the gaps.
+        if gap_mask.bit_length() + m <= width:
+            return _from_gap_mask(gap_mask)
         width *= 2
 
 
@@ -335,4 +333,4 @@ def ordinary(g: int) -> NumericalSemigroup:
     """The ordinary semigroup of genus g: zero plus every integer above g."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    return NumericalSemigroup(range(1, g + 1))
+    return _from_gap_mask((1 << (g + 1)) - 2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _from_gap_mask, _positive_ints
 from .errors import (DimensionMismatch, InvalidKunz, MultiplicityOne,
                      PreconditionViolated)
 
@@ -54,9 +54,9 @@ def kunz_vector(sg: NumericalSemigroup) -> KunzVector:
 def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
     """True iff the vector solves the multiplicity-m inequality system.
 
-    k_i >= 1 everywhere; k_i + k_j >= k_{i+j} when i + j <= m - 1; and
-    k_i + k_j + 1 >= k_{i+j-m} when i + j > m.  (i + j == m wraps to the
-    zero residue and constrains nothing.)
+    Each k_i is an int (not a bool) and k_i >= 1; k_i + k_j >= k_{i+j}
+    when i + j <= m - 1; and k_i + k_j + 1 >= k_{i+j-m} when i + j > m.
+    (i + j == m wraps to the zero residue and constrains nothing.)
     """
     if m < 2:
         raise MultiplicityOne("multiplicity must be at least 2")
@@ -64,9 +64,9 @@ def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
         raise DimensionMismatch(
             f"multiplicity {m} needs {m - 1} coordinates, got {len(coords)}"
         )
-    k = (None,) + tuple(coords)   # 1-based
-    if any(v < 1 for v in k[1:]):
+    if not _positive_ints(list(coords)):
         return False
+    k = (None,) + tuple(coords)   # 1-based
     for i in range(1, m):
         for j in range(i, m):
             s = i + j
@@ -83,10 +83,11 @@ def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
     """Rebuild the semigroup whose least members per residue are k_i*m + i."""
     if not satisfies_kunz(m, coords):
         raise InvalidKunz(f"({m}, {tuple(coords)}) violates the inequality system")
-    ap = [0] + [k * m + i for i, k in enumerate(coords, start=1)]
-    frob = max(ap) - m
-    gaps = [x for x in range(1, frob + 1) if x < ap[x % m]]
-    return NumericalSemigroup(gaps)
+    # Residue i holds the k_i gaps i, i + m, ..., i + (k_i - 1) m, and
+    # sum(2**(j*m) for j < k) == (2**(k*m) - 1) // (2**m - 1).
+    row = (1 << m) - 1
+    return _from_gap_mask(sum(((1 << (k * m)) - 1) // row << i
+                              for i, k in enumerate(coords, start=1)))
 
 
 def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:

@@ -1,12 +1,16 @@
 """Semigroup construction, invariants, and per-semigroup operations."""
 
 import math
+import random
+from bisect import bisect_left
+from itertools import combinations
 
 import pytest
 
 import sgforge as sf
-from sgforge.errors import (EmptyGenerators, GcdNotOne, NotAMember,
-                            NotEffective)
+from sgforge.errors import (EmptyGenerators, GcdNotOne, InvalidKunz,
+                            NotAMember, NotEffective)
+from test_tree import _complement_closed
 
 
 def all_semigroups(g_max):
@@ -24,6 +28,29 @@ def all_semigroups(g_max):
 
     table = sf.enumerate_tree(g_max, collectors={"harvest": Harvest})
     return [sf.from_gaps(gaps) for gaps in table.extras["harvest"].gapsets]
+
+
+# -- per-gap and per-step oracles ---------------------------------------------
+
+def weight_data_by_gaps(s):
+    """(weight, ewt, parts) summed gap by gap over the sorted gap list."""
+    gap_list = s.gaps()
+    weight = sum(l - i for i, l in enumerate(gap_list, start=1))
+    ewt = sum(bisect_left(s.min_generators, l) for l in gap_list)
+    parts = tuple(l - i for i, l in zip(range(len(gap_list) - 1, -1, -1),
+                                        reversed(gap_list)))
+    return weight, ewt, parts
+
+
+def apery_by_steps(s, n):
+    """Least member per residue mod n, stepping by n from each residue."""
+    out = [0] * n
+    for i in range(1, n):
+        x = i
+        while x not in s:
+            x += n
+        out[i] = x
+    return out
 
 
 class TestFromGenerators:
@@ -80,6 +107,7 @@ class TestFromGaps:
     def test_round_trip(self):
         s = sf.from_gaps((1, 2, 4, 7))
         assert s == sf.from_generators({3, 5})
+        assert sf.from_gaps([7, 1, 4, 2, 4, 1]) == s
 
     def test_rejects_non_coideal(self):
         # 2 and 3 would be members, but 2 + 2 = 4 is listed as a gap.
@@ -89,6 +117,44 @@ class TestFromGaps:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sf.from_gaps((0, 1))
+
+    def test_closure_check_matches_pairwise_sums(self):
+        # Every subset of [1, 12] as a gap set: accepted exactly when no
+        # two nonzero members at most its largest element sum to one of it.
+        for size in range(13):
+            for gaps in combinations(range(1, 13), size):
+                frob = gaps[-1] if gaps else 0
+                members = [x for x in range(1, frob) if x not in gaps]
+                closed = not any(u + v in gaps for u in members
+                                 for v in members)
+                if closed:
+                    assert sf.from_gaps(gaps).gaps() == gaps
+                else:
+                    with pytest.raises(ValueError):
+                        sf.from_gaps(gaps)
+
+
+class TestInputTypes:
+    # Each bad element raises ValueError before a mask is built; bool is an
+    # int subclass, so True would otherwise pass as the number 1.
+    @pytest.mark.parametrize("gaps", [(1, "a"), (1, 2, None), (1, 2, 3, True),
+                                      (1, 2.0)])
+    def test_from_gaps(self, gaps):
+        with pytest.raises(ValueError, match="positive integers"):
+            sf.from_gaps(gaps)
+
+    @pytest.mark.parametrize("gens", [(3, None), ("3", 5), [True, 3],
+                                      (False, 3), (3, 5.0)])
+    def test_from_generators(self, gens):
+        with pytest.raises(ValueError, match="positive integers"):
+            sf.from_generators(gens)
+
+    @pytest.mark.parametrize("coords", [(True, 1), (2, True), ("a", 1),
+                                        (2, None)])
+    def test_kunz(self, coords):
+        assert not sf.satisfies_kunz(3, coords)
+        with pytest.raises(InvalidKunz):
+            sf.semigroup_from_kunz(3, coords)
 
 
 class TestAperySet:
@@ -124,6 +190,12 @@ class TestAperySet:
             if m >= 2:
                 assert max(ap) - m == s.frobenius
             assert sum(a // m for a in ap) == s.genus
+
+    def test_matches_step_oracle(self):
+        # Every semigroup of genus <= 14, mod each minimal generator.
+        for s in all_semigroups(14):
+            for n in s.min_generators:
+                assert s.apery_set(n) == apery_by_steps(s, n)
 
     def test_quotient_sum_for_any_member(self):
         s = sf.from_generators({3, 5})
@@ -258,6 +330,11 @@ class TestWeightData:
             assert all(part.parts[i] >= part.parts[i + 1]
                        for i in range(len(part.parts) - 1))
 
+    def test_matches_per_gap_oracle(self):
+        for s in all_semigroups(14):
+            weight, ewt, part = s.weight_data()
+            assert (weight, ewt, part.parts) == weight_data_by_gaps(s)
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             sf.Partition((1, 2))
@@ -312,3 +389,106 @@ class TestRecordAndDunder:
             assert s.genus == sum(1 for x in range(1, f + 1) if x not in s)
             if s.genus:
                 assert s.multiplicity == min(x for x in s.members(f + 1) if x)
+
+
+# -- property tests on seeded generator sets -----------------------------------
+
+def oracle_generator_sets(seed, count):
+    """Generator sets drawn the way the benchmark's oracle workload draws
+    them: m uniform in 3..20, then 1 to 5 more generators in (m, 3m)."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        m = rng.randint(3, 20)
+        gens = sorted([m] + rng.sample(range(m + 1, 3 * m), rng.randint(1, 5)))
+        if math.gcd(*gens) == 1:
+            sets.append(tuple(gens))
+    return sets
+
+
+def members_by_search(gens):
+    """Membership of 0..bound, with every larger integer a member, found by
+    dynamic programming; the bound clears F + m by the Schur bound
+    F <= (m - 1)(max - 1) - 1."""
+    m = gens[0]
+    bound = (m - 1) * (gens[-1] - 1) + m
+    member = [True] + [False] * bound
+    for x in range(1, bound + 1):
+        member[x] = any(member[x - n] for n in gens if n <= x)
+    return member
+
+
+def minimal_generators_by_search(member, frob, m):
+    """Nonzero members up to F + m that are no sum of two nonzero members."""
+    return tuple(x for x in range(1, frob + m + 1) if member(x)
+                 and not any(member(u) and member(x - u)
+                             for u in range(1, x // 2 + 1)))
+
+
+def least_in_residue(member, n, i):
+    x = i
+    while not member(x):
+        x += n
+    return x
+
+
+class TestProperties:
+    SETS = oracle_generator_sets(seed=20170901, count=500)
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        """(generators, semigroup, membership oracle, gap oracle) per set."""
+        out = []
+        for gens in self.SETS:
+            table = members_by_search(gens)
+            gaps = tuple(x for x, inside in enumerate(table) if not inside)
+            out.append((gens, sf.from_generators(gens),
+                        lambda x, t=table: x >= len(t) or t[x], gaps))
+        return out
+
+    def test_from_generators_and_from_gaps_round_trip(self, drawn):
+        for gens, s, member, gaps in drawn:
+            assert s.gaps() == gaps
+            assert _complement_closed(gaps)
+            assert (s.frobenius, s.genus, s.multiplicity) == \
+                (gaps[-1], len(gaps), gens[0])
+            assert s.min_generators == minimal_generators_by_search(
+                member, s.frobenius, s.multiplicity)
+            assert sf.from_gaps(gaps) == s
+            assert sf.from_generators(s.min_generators) == s
+
+    def test_kunz_round_trip(self, drawn):
+        for _gens, s, member, _gaps in drawn:
+            m = s.multiplicity
+            coords = tuple((least_in_residue(member, m, i) - i) // m
+                           for i in range(1, m))
+            assert sf.kunz_vector(s).coords == coords
+            assert sf.satisfies_kunz(m, coords)
+            assert sf.semigroup_from_kunz(m, coords) == s
+
+    def test_remove_generator_children(self, drawn):
+        for _gens, s, member, _gaps in drawn:
+            for lam in s.min_generators:
+                if lam <= s.frobenius:
+                    continue
+                child = s.remove_generator(lam)
+                assert child.gaps() == s.gaps() + (lam,)
+                assert (child.frobenius, child.genus) == (lam, s.genus + 1)
+                assert _complement_closed(child.gaps())
+                in_child = lambda x, lam=lam: x != lam and member(x)
+                assert child.min_generators == minimal_generators_by_search(
+                    in_child, lam, child.multiplicity)
+                # The parent is the child with its Frobenius number filled in.
+                assert sf.from_gaps(child.gaps()[:-1]) == s
+
+    def test_apery_set_of_other_members(self, drawn):
+        rng = random.Random(7)
+        for _gens, s, member, _gaps in drawn:
+            m, f = s.multiplicity, s.frobenius
+            picks = {s.min_generators[-1],
+                     rng.choice([x for x in range(m + 1, f + m + 1)
+                                 if member(x)])}
+            for n in picks:
+                assert n != m
+                assert s.apery_set(n) == [least_in_residue(member, n, i)
+                                          for i in range(n)]
