@@ -119,8 +119,8 @@ class TestFromGaps:
             sf.from_gaps((0, 1))
 
     def test_closure_check_matches_pairwise_sums(self):
-        # Every subset of [1, 12] as a gap set: accepted exactly when no
-        # two nonzero members at most its largest element sum to one of it.
+        # Every subset of [1, 12] as a gap set: accepted exactly when no two
+        # nonzero members below its largest element sum to an element of it.
         for size in range(13):
             for gaps in combinations(range(1, 13), size):
                 frob = gaps[-1] if gaps else 0
