@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
-from .core import NumericalSemigroup, Strength, _bits
+from .core import NumericalSemigroup, Strength, _bits, _sumset
 from .errors import AlreadyOrdinary, IncompleteCensus
 from .formulas import fibonacci, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
@@ -277,13 +277,6 @@ def gap_sumset_size(gaps: tuple[int, ...]) -> int:
     return _sumset(sum(1 << x for x in set(gaps))).bit_count()
 
 
-def _sumset(gap_mask: int) -> int:
-    sums = 0
-    for x in _bits(gap_mask):
-        sums |= gap_mask << x
-    return sums
-
-
 def buchweitz_check(sg: NumericalSemigroup) -> bool:
     """True when |L + L| <= 3 (g - 1) for the gap set L; genus >= 2 only.
 
@@ -517,8 +510,7 @@ def ns_parity_rows(counts: dict[int, int]) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # Growth ratios and monotonicity
 
-def ratio_report(census: CensusTable, *, m_max: int = 9,
-                 column_g_max: int | None = None) -> VerificationReport:
+def ratio_report(census: CensusTable, *, m_max: int = 9) -> VerificationReport:
     """Fibonacci-style ratios of the genus census, plus monotonicity checks.
 
     Asserts N(g) >= N(g-1) + N(g-2) and N(g) >= N(g-1) on the covered
@@ -530,8 +522,6 @@ def ratio_report(census: CensusTable, *, m_max: int = 9,
     if g_max < 2:
         raise ValueError("g_max must be >= 2; smaller bounds leave no "
                          "genus to check")
-    if column_g_max is None:
-        column_g_max = g_max - 1
     violations = []
     rows = []
     for g in range(2, g_max + 1):
@@ -542,7 +532,7 @@ def ratio_report(census: CensusTable, *, m_max: int = 9,
         if n < n1:
             violations.append({"g": g, "issue": "N(g) < N(g-1)"})
     for m in range(2, m_max + 1):
-        for g in range(1, column_g_max + 1):
+        for g in range(1, g_max):
             if census.n_mg(m, g) > census.n_mg(m, g + 1):
                 violations.append({"m": m, "g": g,
                                    "issue": "N(m, g) > N(m, g+1)"})

@@ -36,18 +36,17 @@ class Strength(Enum):
 class GeneratorTag:
     """A minimal generator together with its descent classification.
 
-    ``effective`` is true exactly when the value exceeds the Frobenius
-    number, i.e. when removing it yields a child semigroup.  ``strength``
-    is STRONG or WEAK for effective generators and NOT_EFFECTIVE otherwise.
+    ``strength`` is STRONG or WEAK for an effective generator, one above the
+    Frobenius number whose removal yields a child semigroup, and
+    NOT_EFFECTIVE otherwise.
     """
 
     value: int
-    effective: bool
     strength: Strength
 
-    def __post_init__(self):
-        if self.effective != (self.strength is not Strength.NOT_EFFECTIVE):
-            raise ValueError("strength tag inconsistent with effectiveness")
+    @property
+    def effective(self) -> bool:
+        return self.strength is not Strength.NOT_EFFECTIVE
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,14 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _sumset(mask: int) -> int:
+    """The mask of A + A, where A is the set of bits of ``mask``."""
+    sums = 0
+    for x in _bits(mask):
+        sums |= mask << x
+    return sums
 
 
 def _positive_ints(values: list) -> bool:
@@ -196,12 +203,12 @@ class NumericalSemigroup:
         tags = []
         for lam in self.min_generators:
             if lam <= f:
-                tags.append(GeneratorTag(lam, False, Strength.NOT_EFFECTIVE))
+                tags.append(GeneratorTag(lam, Strength.NOT_EFFECTIVE))
                 continue
             child = self.remove_generator(lam)
             strong = (m + lam) in child.min_generators
             tags.append(
-                GeneratorTag(lam, True, Strength.STRONG if strong else Strength.WEAK)
+                GeneratorTag(lam, Strength.STRONG if strong else Strength.WEAK)
             )
         return tags
 

@@ -7,14 +7,12 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import product
 
+from .core import _sumset
 from .errors import NegativeIndex, NotCoprime, OutOfRange
-
-logger = logging.getLogger(__name__)
 
 
 def fibonacci(n: int) -> int:
@@ -25,11 +23,6 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
-
-
-def _fibonacci_or_zero(n: int) -> int:
-    # Out-of-domain indices count nothing; callers log how often this fires.
-    return fibonacci(n) if n > 0 else 0
 
 
 def sylvester(a: int, b: int) -> tuple[int, int]:
@@ -100,12 +93,7 @@ def enumerate_Ak(k: int) -> AkFamily:
             elif pick == 1:
                 elems.append(hi)
         elems.sort()
-        amask = 0
-        for a in elems:
-            amask |= 1 << a
-        sums = 0
-        for a in elems:
-            sums |= amask << a
+        sums = _sumset(sum(1 << a for a in elems))
         members.append(AkMember(tuple(elems), len(elems),
                                 (sums & window).bit_count()))
     members.sort(key=lambda mem: mem.elements)
@@ -117,22 +105,18 @@ def zhao_lower_bound(g: int) -> int:
 
     Evaluates fibonacci(g + 1) plus, for each window size k up to g/3 and
     each admissible subset A, a Fibonacci term indexed by
-    g - |(A + A) ∩ [0, k]| + |A| - k - 1.  Nonpositive indices contribute
-    nothing (logged; they do not occur for the ranges swept here).
+    g - |(A + A) ∩ [0, k]| + |A| - k - 1.
+
+    The index is always positive: A + A misses k, so it meets [0, k] in at
+    most k points, and A holds 0, so |A| >= 1.  The index is therefore at
+    least g - 2k, and k <= g/3 makes that at least g/3 > 0.
     """
     if g < 1:
         raise OutOfRange("g must be positive")
     total = fibonacci(g + 1)
-    clamped = 0
     for k in range(1, g // 3 + 1):
         for mem in enumerate_Ak(k).members:
-            idx = g - mem.sumset_hits + mem.size - k - 1
-            if idx <= 0:
-                clamped += 1
-            total += _fibonacci_or_zero(idx)
-    if clamped:
-        logger.warning("zhao_lower_bound(%d): %d nonpositive Fibonacci "
-                       "indices treated as 0", g, clamped)
+            total += fibonacci(g - mem.sumset_hits + mem.size - k - 1)
     return total
 
 

@@ -54,28 +54,20 @@ def kunz_vector(sg: NumericalSemigroup) -> KunzVector:
 def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
     """True iff the vector solves the multiplicity-m inequality system.
 
-    Each k_i is an int (not a bool) and k_i >= 1; k_i + k_j >= k_{i+j}
-    when i + j <= m - 1; and k_i + k_j + 1 >= k_{i+j-m} when i + j > m.
-    (i + j == m wraps to the zero residue and constrains nothing.)
+    Each k_i is an int (not a bool) and k_i >= 1, and the Apéry elements
+    w_0 = 0, w_i = k_i * m + i satisfy w_i + w_j >= w_((i + j) mod m); that
+    is k_i + k_j >= k_{i+j} when i + j < m and k_i + k_j + 1 >= k_{i+j-m}
+    when i + j > m.  :class:`KunzVector` checks m and the length.
     """
-    if m < 2:
-        raise MultiplicityOne("multiplicity must be at least 2")
-    if len(coords) != m - 1:
-        raise DimensionMismatch(
-            f"multiplicity {m} needs {m - 1} coordinates, got {len(coords)}"
-        )
-    if not _positive_ints(list(coords)):
+    vec = KunzVector(m, tuple(coords))
+    if not _positive_ints(list(vec.coords)):
         return False
-    k = (None,) + tuple(coords)   # 1-based
+    w = vec.apery() * 2           # w[i + j] is w_((i + j) mod m)
     for i in range(1, m):
+        wi = w[i]
         for j in range(i, m):
-            s = i + j
-            if s <= m - 1:
-                if k[i] + k[j] < k[s]:
-                    return False
-            elif s > m:
-                if k[i] + k[j] + 1 < k[s - m]:
-                    return False
+            if wi + w[j] < w[i + j]:
+                return False
     return True
 
 
@@ -138,10 +130,6 @@ def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
 
 def count_by_polytope(m: int, g: int) -> int:
     """N(m, g) by filtered lattice-point enumeration on the genus slice."""
-    if m < 2:
-        raise MultiplicityOne("multiplicity must be at least 2")
-    if g < 1:
-        return 0
     return sum(1 for _ in kunz_vectors(m, g))
 
 

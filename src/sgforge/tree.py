@@ -130,7 +130,7 @@ class TreeFrame:
     @property
     def effective(self) -> list[GeneratorTag]:
         return [
-            GeneratorTag(v, True, Strength.STRONG if s else Strength.WEAK)
+            GeneratorTag(v, Strength.STRONG if s else Strength.WEAK)
             for v, s in zip(self.effective_values, self.strong_flags)
         ]
 
@@ -175,12 +175,12 @@ class CensusTable:
     The walk adds into flat lists: N(m, g) at ``n_mg_flat[m * (g_max + 1)
     + g]``, t(g, h) and its strongly descended part s(g, h) at
     ``t_gh_flat`` / ``s_gh_flat[g * (g_max + 3) + h]``, and ns(F) at
-    ``ns_flat[F]``.  ``n_of_mg``, ``t_of_gh``, ``s_of_gh`` and ``ns_of_f``
-    are read-only dict views of their nonzero cells.  The per-genus lists
-    ``n_of_g``, ``strongly_descended`` and ``ye_correction`` are derived
-    from the (g, h) rows on each read.
+    ``ns_flat[F]``.  ``n_of_mg``, ``t_of_gh`` and ``s_of_gh`` are read-only
+    dict views of their nonzero cells.  The per-genus lists ``n_of_g``,
+    ``strongly_descended`` and ``ye_correction`` are derived from the
+    (g, h) rows on each read.
 
-    In a genus-bounded run ``ns_of_f`` is exact for every F <= g_max, since
+    In a genus-bounded run ``ns()`` is exact for every F <= g_max, since
     a semigroup's genus never exceeds its Frobenius number.
     """
 
@@ -241,10 +241,6 @@ class CensusTable:
     def s_of_gh(self) -> Mapping[tuple[int, int], int]:
         return _cells(self.s_gh_flat, self.g_max + 3)
 
-    @property
-    def ns_of_f(self) -> Mapping[int, int]:
-        return MappingProxyType({f: c for f, c in enumerate(self.ns_flat) if c})
-
     def n(self, g: int) -> int:
         self._require(g)
         return sum(self._row(self.t_gh_flat, g))
@@ -296,19 +292,18 @@ class CensusTable:
     # -- merging -----------------------------------------------------------
 
     def __iadd__(self, other: "CensusTable") -> "CensusTable":
-        """Add the counts of a table from a disjoint subtree in place."""
-        if self.g_max != other.g_max:
-            raise ValueError("cannot merge tables with different depth bounds")
+        """Add the counts of a table from a disjoint subtree of the same run
+        (same depth bound, Frobenius cap and collector names) in place."""
+        if ((self.g_max, self.frobenius_cap, self.extras.keys())
+                != (other.g_max, other.frobenius_cap, other.extras.keys())):
+            raise ValueError("cannot merge tables from different runs")
         for name in _COUNTERS:
             mine = getattr(self, name)
-            # map stops at the shorter list, so ns_flat keeps the lower cap.
             mine[:] = map(add, mine, getattr(other, name))
-        self.frobenius_cap = min(self.frobenius_cap, other.frobenius_cap)
         self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses,
                                                other.wilf_witnesses)
         for name, coll in other.extras.items():
-            mine = self.extras.get(name)
-            self.extras[name] = coll if mine is None else mine.merge(coll)
+            self.extras[name] = self.extras[name].merge(coll)
         return self
 
     def merge(self, other: "CensusTable") -> "CensusTable":
@@ -334,9 +329,6 @@ class CensusTable:
     def rows_by_efficacy(self) -> list[tuple[int, int, int]]:
         return [(g, h, c) for (g, h), c in self.t_of_gh.items()]
 
-    def rows_by_frobenius(self) -> list[tuple[int, int]]:
-        return [(f, self.ns_flat[f]) for f in range(1, self.frobenius_cap + 1)]
-
 
 def _member_cap(g_max: int) -> int:
     # Strength probes never look past (m + lam) / 2 <= (3*g_max + 2) / 2.
@@ -358,8 +350,8 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     instead of visited so a driver can hand their subtrees to workers.
     Without collectors, children with no admissible edge (at depth g_max,
     or with no effective generator <= lam_max) are tallied in the parent's
-    loop and never materialized; frontier children and the ordinary child
-    are always built.
+    loop and never materialized, frontier children included; only the
+    ordinary child is always built.
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
@@ -373,6 +365,7 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     width = g_max + 1
     hw = g_max + 3
     cap = _member_cap(g_max)
+    fold = not collectors
     frontier = []
     stack = [root]
     push = stack.append
@@ -405,7 +398,6 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
         if g1 > g_max:
             continue
         collect = g1 == frontier_depth
-        fold = not collect and not collectors
         last = g1 == g_max
         for i in range(h):
             lam = eff[i]
@@ -479,8 +471,9 @@ def _spine_frontier(g_max, lam_max, table, collectors=()):
     The spine is the chain of ordinary semigroups {0, m, m+1, ...}, each the
     child of the last that removes its multiplicity m.  It holds most of the
     tree's top, so the calling process walks it; every other child of a spine
-    node roots one job.  Jobs run in (depth, Frobenius number) order, which
-    starts the heavy shallow subtrees first.
+    node roots one job, unless a walk without collectors tallies it here as
+    childless.  Jobs run in (depth, Frobenius number) order, which starts
+    the heavy shallow subtrees first.
     """
     jobs = []
     node = _root_frame(g_max)
@@ -513,19 +506,20 @@ def enumerate_tree(
 
     With ``frobenius_max`` set, edges removing a generator above that bound
     are pruned, restricting the visited set to semigroups whose Frobenius
-    number stays within the bound; counts other than ``ns_of_f`` then
+    number stays within the bound; counts other than ``ns()`` then
     describe that restricted universe.
 
     ``workers`` > 1 runs in parallel: the calling process walks the chain
     of ordinary semigroups from the root, and each of their other children
-    roots one job on a pool of ``workers`` processes.  Results merge in the
-    fixed job order and witness lists keep the least gap tuples, so the
-    table is identical to a sequential run.  ``split_depth`` shapes nothing:
-    it is range-checked and otherwise ignored, and stays only while the
-    benchmark and acceptance criterion 3 still pass it.  ``collectors`` maps
-    names to zero-argument factories producing per-worker collector
-    instances (module-level classes, so they survive pickling), merged into
-    ``extras`` afterwards.
+    roots one job on a pool of ``workers`` processes, except the childless
+    ones of a walk without collectors, which the calling process tallies.
+    Results merge in the fixed job order and witness lists keep the least
+    gap tuples, so the table is identical to a sequential run.
+    ``split_depth`` shapes nothing: it is range-checked and otherwise
+    ignored, and stays only while the benchmark and acceptance criterion 3
+    still pass it.  ``collectors`` maps names to zero-argument factories
+    producing per-worker collector instances (module-level classes, so they
+    survive pickling), merged into ``extras`` afterwards.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")

@@ -314,13 +314,14 @@ class TestIncrementalCollectors:
 
     def _expected_orphans(self, workers):
         # The root, and with a pool each job root, which starts in a fresh
-        # collector.
+        # collector.  A collector walk ships childless children as jobs too.
         from sgforge.tree import CensusTable, _root_frame, _spine_frontier
 
         g = self.G_MAX
         roots = [_root_frame(g)]
         if workers > 1:
-            roots += _spine_frontier(g, 3 * g + 3, CensusTable.empty(g, g))
+            roots += _spine_frontier(g, 3 * g + 3, CensusTable.empty(g, g),
+                                     [EwtMaxCollector()])
         return sorted(frame[0] for frame in roots)
 
     @pytest.mark.parametrize("workers", [1, 2])

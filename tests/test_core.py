@@ -238,6 +238,11 @@ class TestEffectiveGenerators:
         assert [t.value for t in tags] == [4, 5, 6, 7]
         assert all(t.effective for t in tags)
 
+    def test_effective_follows_strength(self):
+        for strength in sf.Strength:
+            tag = sf.GeneratorTag(7, strength)
+            assert tag.effective == (strength is not sf.Strength.NOT_EFFECTIVE)
+
     def test_three_four_has_none(self):
         s = sf.from_generators({3, 4})
         assert s.efficacy == 0

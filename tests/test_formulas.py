@@ -128,6 +128,14 @@ class TestZhaoLowerBound:
     def test_g3(self):
         assert sf.zhao_lower_bound(3) == 4
 
+    def test_fibonacci_index_is_positive(self):
+        # A + A misses k and A holds 0, so the index is at least g - 2k.
+        for g in range(1, 41):
+            for k in range(1, g // 3 + 1):
+                for mem in sf.enumerate_Ak(k).members:
+                    idx = g - mem.sumset_hits + mem.size - k - 1
+                    assert idx >= max(1, g - 2 * k), (g, k, mem)
+
     def test_sandwich(self, census16):
         for g in range(1, 17):
             assert sf.zhao_lower_bound(g) <= census16.t(g) <= census16.n(g)

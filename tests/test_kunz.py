@@ -35,7 +35,31 @@ class TestKunzVector:
             assert sf.kunz_vector(s).genus == s.genus
 
 
+def _two_case_kunz(m, coords):
+    # The inequality system in its textbook two-case form: k_i + k_j >=
+    # k_{i+j} when i + j < m, k_i + k_j + 1 >= k_{i+j-m} when i + j > m.
+    if min(coords) < 1:
+        return False
+    k = (None,) + tuple(coords)   # 1-based
+    for i in range(1, m):
+        for j in range(i, m):
+            s = i + j
+            if s < m and k[i] + k[j] < k[s]:
+                return False
+            if s > m and k[i] + k[j] + 1 < k[s - m]:
+                return False
+    return True
+
+
 class TestSatisfiesKunz:
+    def test_matches_two_case_system(self):
+        # The Apéry form w_i + w_j >= w_((i+j) mod m) against the oracle,
+        # zero coordinates included.
+        for m in range(2, 7):
+            for coords in product(range(0, 6), repeat=m - 1):
+                assert sf.satisfies_kunz(m, coords) \
+                    == _two_case_kunz(m, coords), (m, coords)
+
     def test_examples(self):
         assert sf.satisfies_kunz(3, (3, 1))
         assert not sf.satisfies_kunz(3, (1, 3))     # 2 k1 >= k2 fails
@@ -47,6 +71,8 @@ class TestSatisfiesKunz:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sf.satisfies_kunz(4, (1, 2))
+        with pytest.raises(MultiplicityOne):
+            sf.satisfies_kunz(1, ())
 
     def test_characterizes_actual_vectors(self):
         # Every candidate vector is valid iff it round-trips to a semigroup

@@ -327,13 +327,33 @@ class TestDeterminism:
         lam_max = 3 * g_max + 3
         spine = CensusTable.empty(g_max, g_max)
         jobs = _spine_frontier(g_max, lam_max, spine)
-        # The calling process tallies exactly the ordinary semigroups.
-        assert spine.n_of_g == [1] * (g_max + 1)
+        # The calling process tallies the ordinary semigroups (genus g,
+        # multiplicity g + 1) and the childless off-spine children; every
+        # job roots a subtree of more than one node.
+        for g in range(g_max + 1):
+            assert spine.n_mg(g + 1, g) == 1
         sizes = [sum(_subtree_job((f, g_max, lam_max, g_max, ())).n_of_g)
                  for f in jobs]
         total = sum(sf.enumerate_tree(g_max).n_of_g)
         assert sum(spine.n_of_g) + sum(sizes) == total
         assert max(sizes) <= total / 8
+        assert min(sizes) > 1
+
+    def test_merge_rejects_tables_of_other_runs(self):
+        from sgforge.tree import CensusTable
+
+        def table(cap, *names):
+            t = CensusTable.empty(6, cap)
+            t.extras = {name: NoopCollector() for name in names}
+            return t
+
+        table(6, "a").merge(table(6, "a"))
+        for other in (table(5, "a"), table(6, "b"), table(6),
+                      table(6, "a", "b"), CensusTable.empty(7, 6)):
+            with pytest.raises(ValueError):
+                table(6, "a").merge(other)
+            with pytest.raises(ValueError):
+                other.merge(table(6, "a"))
 
     def test_merged_witnesses_ignore_order(self, census16):
         from dataclasses import replace
