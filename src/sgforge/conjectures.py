@@ -13,9 +13,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
-from .core import NumericalSemigroup, Strength, _bits, _sumset
+from .core import NumericalSemigroup, Strength, _from_gap_mask, _sumset
 from .errors import AlreadyOrdinary, IncompleteCensus
-from .formulas import fibonacci, zhao_lower_bound
+from .formulas import fibonacci, global_bounds, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
 from .tree import (CensusTable, TreeFrame, _add_witness, _merge_witnesses,
                    enumerate_tree)
@@ -199,10 +199,8 @@ def ordinarize(sg: NumericalSemigroup) -> NumericalSemigroup:
     """
     if sg.is_ordinary():
         raise AlreadyOrdinary(repr(sg))
-    gaps = set(sg.gaps())
-    gaps.discard(sg.frobenius)
-    gaps.add(sg.multiplicity)
-    return NumericalSemigroup(gaps)
+    return _from_gap_mask((sg._gap_mask() ^ (1 << sg.frobenius))
+                          | (1 << sg.multiplicity))
 
 
 def _ordinarization(mask: int, genus: int) -> int:
@@ -290,11 +288,10 @@ def buchweitz_check(sg: NumericalSemigroup) -> bool:
 
 
 class BuchweitzCollector:
-    """Per-genus totals and failures of the 2-fold sumset bound."""
+    """Per-genus failures of the 2-fold sumset bound."""
 
     def __init__(self):
         self.failures: dict[int, int] = {}
-        self.totals: dict[int, int] = {}
         self.witnesses: list[tuple[int, ...]] = []
         self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, L + L)
 
@@ -309,16 +306,11 @@ class BuchweitzCollector:
         else:
             sums = _sumset(gap_mask)
         self._last[g] = (frame.mask, sums)
-        if g < 2:
-            return
-        self.totals[g] = self.totals.get(g, 0) + 1
-        if sums.bit_count() > 3 * (g - 1):
+        if g >= 2 and sums.bit_count() > 3 * (g - 1):
             self.failures[g] = self.failures.get(g, 0) + 1
             _add_witness(self.witnesses, frame.gap_tuple())
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
-        for g, c in other.totals.items():
-            self.totals[g] = self.totals.get(g, 0) + c
         for g, c in other.failures.items():
             self.failures[g] = self.failures.get(g, 0) + c
         self.witnesses = _merge_witnesses(self.witnesses, other.witnesses)
@@ -343,7 +335,7 @@ def buchweitz_sweep(g_max: int = 16, *,
         "buchweitz", {"g_max": g_max}, [],
         {
             "failures": {g: coll.failures[g] for g in sorted(coll.failures)},
-            "totals": {g: coll.totals[g] for g in sorted(coll.totals)},
+            "totals": {g: table.n(g) for g in range(2, g_max + 1)},
             "first_failure_genus": first_failure,
             "witnesses": [list(w) for w in coll.witnesses[:5]],
         },
@@ -443,7 +435,6 @@ class ConcentrationCollector:
 
     def __init__(self, eps: float):
         self.eps = eps
-        self.total: dict[int, int] = {}
         self.a_band: dict[int, int] = {}
         self.m_band: dict[int, int] = {}
         self.two_g_lt_3m: dict[int, int] = {}
@@ -453,7 +444,6 @@ class ConcentrationCollector:
         m = frame.multiplicity
         f = frame.frobenius
         eps = self.eps
-        self.total[g] = self.total.get(g, 0) + 1
         if (2 - eps) * m < f < (2 + eps) * m:
             self.a_band[g] = self.a_band.get(g, 0) + 1
         if (GAMMA - eps) * g < m < (GAMMA + eps) * g:
@@ -462,7 +452,7 @@ class ConcentrationCollector:
             self.two_g_lt_3m[g] = self.two_g_lt_3m.get(g, 0) + 1
 
     def merge(self, other: "ConcentrationCollector") -> "ConcentrationCollector":
-        for name in ("total", "a_band", "m_band", "two_g_lt_3m"):
+        for name in ("a_band", "m_band", "two_g_lt_3m"):
             mine = getattr(self, name)
             for g, c in getattr(other, name).items():
                 mine[g] = mine.get(g, 0) + c
@@ -477,8 +467,10 @@ def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
     """
     coll = table.extras["concentration"]
     out = {}
-    for g in sorted(coll.total):
-        n = coll.total[g]
+    for g in range(table.g_max + 1):
+        n = table.n(g)
+        if not n:
+            continue
         out[g] = {
             "f_over_m": coll.a_band.get(g, 0) / n,
             "m_over_g": coll.m_band.get(g, 0) / n,
@@ -624,16 +616,16 @@ def bounds_sweep(g_max: int = 30, *, census: CensusTable | None = None) -> Verif
     for g in range(1, g_max + 1):
         fib_lower = fibonacci(g + 1)
         zb = zhao_lower_bound(g)
-        upper = 1 + 3 * 2 ** (g - 3) if g >= 3 else None
-        rows.append((g, fib_lower, zb, census.t(g), census.n(g), upper or ""))
+        lower, upper = global_bounds(g) if g >= 3 else (None, "")
+        rows.append((g, fib_lower, zb, census.t(g), census.n(g), upper))
         if census.f_lt_2m[g] != fib_lower:
             violations.append({"g": g, "issue": "F < 2m count != fibonacci(g+1)",
                                "count": census.f_lt_2m[g]})
         if not zb <= census.t(g) <= census.n(g):
             violations.append({"g": g, "issue": "lower bound ordering",
                                "zhao": zb, "t": census.t(g), "n": census.n(g)})
-        if g >= 3 and not 2 * fibonacci(g) <= census.n(g) <= upper:
-            violations.append({"g": g, "lower": 2 * fibonacci(g),
+        if g >= 3 and not lower <= census.n(g) <= upper:
+            violations.append({"g": g, "lower": lower,
                                "n": census.n(g), "upper": upper})
     return VerificationReport("bounds", {"g_max": g_max}, violations,
                               {"rows": rows})

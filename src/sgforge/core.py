@@ -66,9 +66,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 # bin() digits to bytes that are true exactly for the set bits.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -85,6 +82,20 @@ def _sumset(mask: int) -> int:
     for x in _bits(mask):
         sums |= mask << x
     return sums
+
+
+def _is_strong(members: int, m: int, lam: int) -> bool:
+    """Whether m + lam is a minimal generator of S minus lam.
+
+    ``members`` has bit x set for each member x of S up to m + lam.  Only
+    u + (m + lam - u) with m < u <= (m + lam) / 2 can split m + lam without
+    using lam (u = m pairs with lam), and no u qualifies when lam == m.
+    """
+    x = m + lam
+    for u in range(m + 1, x // 2 + 1):
+        if (members >> u) & 1 and (members >> (x - u)) & 1:
+            return False
+    return True
 
 
 def _positive_ints(values: list) -> bool:
@@ -200,17 +211,11 @@ class NumericalSemigroup:
         """
         f = self.frobenius
         m = self.multiplicity
-        tags = []
-        for lam in self.min_generators:
-            if lam <= f:
-                tags.append(GeneratorTag(lam, Strength.NOT_EFFECTIVE))
-                continue
-            child = self.remove_generator(lam)
-            strong = (m + lam) in child.min_generators
-            tags.append(
-                GeneratorTag(lam, Strength.STRONG if strong else Strength.WEAK)
-            )
-        return tags
+        members = self._mask | -(1 << (f + 1))    # every x > F is a member
+        return [GeneratorTag(lam, Strength.NOT_EFFECTIVE if lam <= f
+                             else Strength.STRONG if _is_strong(members, m, lam)
+                             else Strength.WEAK)
+                for lam in self.min_generators]
 
     @property
     def efficacy(self) -> int:
@@ -244,10 +249,6 @@ class NumericalSemigroup:
         ewt = sum((gap_mask >> n).bit_count() for n in self.min_generators)
         parts = tuple(map(sub, reversed(gaps), range(g - 1, -1, -1)))
         return weight, ewt, Partition(parts)
-
-    @property
-    def weight(self) -> int:
-        return self.weight_data()[0]
 
     @property
     def effective_weight(self) -> int:

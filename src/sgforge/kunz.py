@@ -72,14 +72,22 @@ def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
 
 
 def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
-    """Rebuild the semigroup whose least members per residue are k_i*m + i."""
-    if not satisfies_kunz(m, coords):
-        raise InvalidKunz(f"({m}, {tuple(coords)}) violates the inequality system")
-    # Residue i holds the k_i gaps i, i + m, ..., i + (k_i - 1) m, and
-    # sum(2**(j*m) for j < k) == (2**(k*m) - 1) // (2**m - 1).
-    row = (1 << m) - 1
-    return _from_gap_mask(sum(((1 << (k * m)) - 1) // row << i
-                              for i, k in enumerate(coords, start=1)))
+    """Rebuild the semigroup whose least members per residue are k_i*m + i.
+
+    With every k_i >= 1, the gaps are closed under addition exactly when the
+    Kunz system holds, so the initializer's closure check raises InvalidKunz.
+    """
+    coords = KunzVector(m, tuple(coords)).coords
+    if _positive_ints(list(coords)):
+        # Residue i holds the k_i gaps i, i + m, ..., i + (k_i - 1) m, and
+        # sum(2**(j*m) for j < k) == (2**(k*m) - 1) // (2**m - 1).
+        row = (1 << m) - 1
+        try:
+            return _from_gap_mask(sum(((1 << (k * m)) - 1) // row << i
+                                      for i, k in enumerate(coords, start=1)))
+        except ValueError:
+            pass
+    raise InvalidKunz(f"({m}, {coords}) violates the inequality system")
 
 
 def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:

@@ -25,9 +25,9 @@ never materialized.
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
 strong (plus 2m + 1 as well in the one case lam == m, which turns an
-ordinary semigroup into the next ordinary semigroup).  Strength of lam
-reduces to a short membership probe: m + lam must admit no decomposition
-into two nonzero members avoiding lam.
+ordinary semigroup into the next ordinary semigroup).  Strength of lam is
+the membership probe of ``core._is_strong``, which the walk inlines over
+mem.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol
 
-from .core import GeneratorTag, NumericalSemigroup, Strength, _bits
+from .core import (GeneratorTag, NumericalSemigroup, Strength, _bits,
+                   _from_gap_mask, _is_strong)
 from .errors import IncompleteCensus
 
 _WITNESS_CAP = 20
@@ -61,18 +62,6 @@ def _gaps_of(mask: int, frob: int) -> tuple[int, ...]:
     return tuple(_bits(window & ~mask))
 
 
-def _is_strong(mask: int, x: int, mem: tuple[int, ...]) -> bool:
-    # x = m + lam is a minimal generator of the child unless it splits into
-    # two members above m.  Neither part is lam: u <= x / 2 < lam, and
-    # x - u = lam only for u = m, which mem leaves out.
-    for u in mem:
-        if u + u > x:
-            break
-        if (mask >> (x - u)) & 1:
-            return False
-    return True
-
-
 class TreeFrame:
     """Read-only view of one node handed to collectors.
 
@@ -88,14 +77,13 @@ class TreeFrame:
         "multiplicity",
         "frobenius",
         "effective_values",
-        "_members",
         "min_generator_mask",
         "_strong_in",
     )
 
     def __init__(self, node: tuple):
         (self.mask, self.genus, self.multiplicity, self.frobenius,
-         self.effective_values, self._members, self.min_generator_mask,
+         self.effective_values, _, self.min_generator_mask,
          self._strong_in) = node
 
     @property
@@ -114,13 +102,6 @@ class TreeFrame:
             return None
         return Strength.STRONG if self._strong_in else Strength.WEAK
 
-    @property
-    def strong_flags(self) -> tuple[bool, ...]:
-        """Whether removing each effective generator is a strong descent."""
-        m = self.multiplicity
-        return tuple(lam == m or _is_strong(self.mask, m + lam, self._members)
-                     for lam in self.effective_values)
-
     def gap_tuple(self) -> tuple[int, ...]:
         return _gaps_of(self.mask, self.frobenius)
 
@@ -129,14 +110,15 @@ class TreeFrame:
 
     @property
     def effective(self) -> list[GeneratorTag]:
-        return [
-            GeneratorTag(v, Strength.STRONG if s else Strength.WEAK)
-            for v, s in zip(self.effective_values, self.strong_flags)
-        ]
+        m = self.multiplicity
+        return [GeneratorTag(lam, Strength.STRONG
+                             if _is_strong(self.mask, m, lam) else Strength.WEAK)
+                for lam in self.effective_values]
 
     @property
     def semigroup(self) -> NumericalSemigroup:
-        return NumericalSemigroup(self.gap_tuple())
+        f = self.frobenius
+        return _from_gap_mask(((1 << (f + 1)) - 1) & ~self.mask)
 
 
 class Collector(Protocol):
@@ -413,7 +395,10 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                          (mg ^ (1 << lam)) | (3 << m2), True)
             else:
                 x = m + lam
-                # _is_strong inlined: a call per edge costs ~6% of the walk.
+                # core._is_strong, inlined and run over mem: a call per edge
+                # costs ~6% of the walk, and testing every u in (m, x/2]
+                # against B instead made enumerate_tree(24) 24-40% slower
+                # (2 vCPUs, Python 3.11).
                 strong = True
                 for u in mem:
                     if u + u > x:

@@ -1,12 +1,15 @@
 """Identity and conjecture sweeps at test scale (acceptance runs go deeper)."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
 import sgforge as sf
-from sgforge.conjectures import PHI, BuchweitzCollector, EwtMaxCollector
+from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
+                                 ConcentrationCollector, EwtMaxCollector)
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
+from test_tree import brute_force_gapsets
 
 
 class TestWilf:
@@ -393,6 +396,27 @@ class TestConcentration:
         for g, row in stats.items():
             for value in row.values():
                 assert 0.0 <= value <= 1.0
+
+    def test_pruned_table(self):
+        # With F <= 6 genera 7-10 hold no semigroup: they are left out, not
+        # divided by. Each fraction matches a count over brute-force gap
+        # sets with F <= 6 (F = -1 and m = 1 for the root).
+        eps = 0.1
+        table = sf.enumerate_tree(10, frobenius_max=6, collectors={
+            "concentration": partial(ConcentrationCollector, eps)})
+        stats = sf.concentration_stats(table)
+        assert sorted(stats) == list(range(7))
+        for g, row in stats.items():
+            mf = [(min(set(range(1, g + 2)) - set(gaps)), gaps[-1] if gaps else -1)
+                  for gaps in brute_force_gapsets(g) if not gaps or gaps[-1] <= 6]
+            n = len(mf)
+            assert row == {
+                "f_over_m": sum((2 - eps) * m < f < (2 + eps) * m
+                                for m, f in mf) / n,
+                "m_over_g": sum((GAMMA - eps) * g < m < (GAMMA + eps) * g
+                                for m, f in mf) / n,
+                "two_g_lt_3m": sum(2 * g < 3 * m for m, f in mf) / n,
+            }
 
     def test_parallel_matches_sequential(self):
         seq = sf.concentration_sweep(9, 0.25)

@@ -486,6 +486,23 @@ class TestProperties:
                 # The parent is the child with its Frobenius number filled in.
                 assert sf.from_gaps(child.gaps()[:-1]) == s
 
+    def test_effective_generator_strengths(self, drawn):
+        # Strong iff m + lam is a minimal generator of the child, found by
+        # searching the child's members.
+        for _gens, s, member, _gaps in drawn:
+            m = s.multiplicity
+            for tag in s.effective_generators():
+                lam = tag.value
+                assert tag.effective == (lam > s.frobenius)
+                if not tag.effective:
+                    continue
+                in_child = lambda x, lam=lam: x != lam and member(x)
+                child_m = m + 1 if lam == m else m
+                strong = m + lam in minimal_generators_by_search(
+                    in_child, lam, child_m)
+                assert tag.strength is (sf.Strength.STRONG if strong
+                                        else sf.Strength.WEAK)
+
     def test_apery_set_of_other_members(self, drawn):
         rng = random.Random(7)
         for _gens, s, member, _gaps in drawn:

@@ -76,9 +76,10 @@ class TestSatisfiesKunz:
 
     def test_characterizes_actual_vectors(self):
         # Every candidate vector is valid iff it round-trips to a semigroup
-        # whose coordinates come straight back.
+        # whose coordinates come straight back; zero coordinates and
+        # non-int ones are invalid.
         for m in (3, 4, 5):
-            for coords in product(range(1, 5), repeat=m - 1):
+            for coords in product(range(0, 5), repeat=m - 1):
                 if sf.satisfies_kunz(m, coords):
                     s = sf.semigroup_from_kunz(m, coords)
                     assert s.multiplicity == m
@@ -86,6 +87,11 @@ class TestSatisfiesKunz:
                 else:
                     with pytest.raises(InvalidKunz):
                         sf.semigroup_from_kunz(m, coords)
+        for bad in (True, "a", 1.0):
+            for coords in ((bad, 1), (1, bad)):
+                assert not sf.satisfies_kunz(3, coords)
+                with pytest.raises(InvalidKunz, match="violates"):
+                    sf.semigroup_from_kunz(3, coords)
 
 
 class TestSemigroupFromKunz:

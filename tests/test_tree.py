@@ -176,6 +176,35 @@ class TestStrength:
         table = sf.enumerate_tree(7, collectors={"tags": TagCheck})
         assert table.extras["tags"].mismatches == []
 
+    def test_walk_descent_matches_first_principles(self):
+        # frame.descent comes from the walk's inline probe on the edge into
+        # the node; the parent is the node with its Frobenius number filled
+        # back in, and descent_strength rebuilds the child from it.
+        class DescentCheck:
+            def __init__(self):
+                self.seen = defaultdict(int)
+                self.mismatches = []
+
+            def visit(self, frame):
+                if frame.genus == 0:
+                    return
+                parent = sf.from_gaps(frame.gap_tuple()[:-1])
+                expected = sf.descent_strength(parent, frame.frobenius)
+                self.seen[expected] += 1
+                if frame.descent is not expected:
+                    self.mismatches.append(frame.gap_tuple())
+
+            def merge(self, other):
+                for key, c in other.seen.items():
+                    self.seen[key] += c
+                self.mismatches.extend(other.mismatches)
+                return self
+
+        check = sf.enumerate_tree(10, collectors={"d": DescentCheck}).extras["d"]
+        assert check.mismatches == []
+        assert sum(check.seen.values()) == sum(FIG1[1:11])
+        assert check.seen[sf.Strength.STRONG] and check.seen[sf.Strength.WEAK]
+
     def test_weak_descendant_bound(self):
         # N_g(S) <= C(h(S), g - g(S)) for strongly descended S, checked by
         # explicitly enumerating weak descendants with core operations.
