@@ -4,8 +4,8 @@ A multiplicity-m semigroup is determined by the least member in each
 nonzero residue class mod m, written k_i * m + i; the vector (k_1, ...,
 k_{m-1}) of positive integers satisfies a superadditivity system, and every
 integer solution of the system arises this way.  Slicing by coordinate sum
-g therefore counts N(m, g) without touching the semigroup tree, giving an
-oracle that is completely independent of the tree walk.
+g counts N(m, g) without the semigroup tree: one flat backtracking loop,
+:func:`kunz_vectors`, yields the slice, an oracle independent of the walk.
 """
 
 from __future__ import annotations
@@ -91,49 +91,68 @@ def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
 
 
 def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
-    """All Kunz vectors of multiplicity m and genus g, lexicographically.
+    """All Kunz vectors of multiplicity m and genus g, lazily and in
+    lexicographic order.
 
-    Backtracks over k_1, k_2, ... with the partial-sum bound and every
-    inequality whose three indices are already assigned checked as early
-    as possible; the full system holds for every emitted vector.
+    One loop walks positions 1..n (n = m - 1), keeping per position the
+    value k, its upper bound top, the remaining sum rest, and the least
+    value, largest value and least k_b / b index of the prefix before it.
+    k_pos is bounded above by the partial sum and the caps k_i + k_{pos-i},
+    below by the wrap bounds k_{i+pos-m} - k_i - 1 and the self bound
+    k_{2pos-m} // 2; the last coordinate is forced to the remaining sum.  A
+    prefix whose tail cannot reach the remaining sum is dropped.
     """
     if m < 2:
         raise MultiplicityOne("multiplicity must be at least 2")
     if g < 1:
         return
     n = m - 1
-    k = [0] * (n + 1)             # 1-based
-
-    def extend(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos > n:
-            if remaining == 0:
+    k = [0] * m                   # 1-based
+    top = [0] * m
+    rest = [g] * m                # rest[pos] = g - k_1 - ... - k_{pos-1}
+    lows, highs, best = [g] * m, [0] * m, [1] * m
+    pos = 1
+    while True:
+        r, low, high = rest[pos], lows[pos], highs[pos]
+        hi = r - (n - pos)
+        tail = n - pos + 1
+        if pos > 1 and r > tail * high:
+            # c steps of k_j <= k_b + k_{j-b} give k_j <= c * k_b + high.
+            b = best[pos]
+            q, s = divmod(tail, b)
+            if r > tail * high + k[b] * (b * q * (q + 1) // 2 + s * (q + 1)):
+                hi = 0
+        if 2 * low < hi:              # else no cap is below hi
+            for i in range(1, pos // 2 + 1):
+                cap = k[i] + k[pos - i]
+                if cap < hi:
+                    hi = cap
+        lo = k[2 * pos - m] // 2 or 1 if 2 * pos > m else 1
+        if high - low - 1 > lo:       # else no wrap bound is above lo
+            for i in range(m - pos + 1, pos):
+                need = k[i + pos - m] - k[i] - 1
+                if need > lo:
+                    lo = need
+        if pos < n and lo <= hi:
+            top[pos], v = hi, lo
+        else:
+            if pos == n and lo <= r <= hi:
+                k[n] = r
                 yield tuple(k[1:])
-            return
-        # Each later coordinate needs at least 1.
-        hi = remaining - (n - pos)
-        if hi < 1:
-            return
-        # Superadditivity caps k_pos once both halves are known.
-        for i in range(1, pos // 2 + 1):
-            cap = k[i] + k[pos - i]
-            if cap < hi:
-                hi = cap
-        lo = 1
-        # Wraparound constraints with j == pos give lower bounds:
-        # k_i + k_pos + 1 >= k_{i+pos-m} for i + pos > m, i < pos.
-        for i in range(max(1, m - pos + 1), pos):
-            need = k[i + pos - m] - k[i] - 1
-            if need > lo:
-                lo = need
-        for v in range(lo, hi + 1):
-            k[pos] = v
-            # i == pos puts k_pos on both sides: 2*k_pos + 1 >= k_{2pos-m}.
-            if 2 * pos > m and 2 * v + 1 < k[2 * pos - m]:
-                continue
-            yield from extend(pos + 1, remaining - v)
-        k[pos] = 0
-
-    yield from extend(1, g)
+            # Advance the deepest earlier position still below its top.
+            pos -= 1
+            while pos and k[pos] == top[pos]:
+                pos -= 1
+            if not pos:
+                return
+            v = k[pos] + 1
+        k[pos] = v
+        rest[pos + 1] = rest[pos] - v
+        lows[pos + 1] = v if v < lows[pos] else lows[pos]
+        highs[pos + 1] = v if v > highs[pos] else highs[pos]
+        b = best[pos]
+        best[pos + 1] = pos if v * b < k[b] * pos else b
+        pos += 1
 
 
 def count_by_polytope(m: int, g: int) -> int:

@@ -423,13 +423,25 @@ class TestConcentration:
         par = sf.concentration_sweep(9, 0.25, workers=3)
         assert seq == par
 
-    def test_frozen_baselines_eps_quarter(self):
-        # Regression values recorded from the first verified run; the
-        # Frobenius-window fraction should also creep upward with g.
-        stats = sf.concentration_sweep(20, 0.25)
-        assert stats[14]["f_over_m"] == pytest.approx(0.356763, abs=1e-6)
-        assert stats[20]["f_over_m"] == pytest.approx(0.400471, abs=1e-6)
-        assert stats[20]["m_over_g"] == pytest.approx(0.893678, abs=1e-6)
+    def test_eps_quarter_matches_kunz_oracle(self):
+        # The three fractions at g = 14 and g = 20 equal counts over every
+        # Kunz vector of the genus, with no tree walk: m runs over 2..g + 1
+        # and F = max(k_i m + i) - m.  The Frobenius-window fraction should
+        # also creep upward with g.
+        eps = 0.25
+        stats = sf.concentration_sweep(20, eps)
+        for g in (14, 20):
+            mf = [(m, max(k * m + i for i, k in enumerate(v, start=1)) - m)
+                  for m in range(2, g + 2) for v in sf.kunz_vectors(m, g)]
+            n = len(mf)
+            assert n == {14: 1693, 20: 37396}[g]     # OEIS A007323
+            assert stats[g] == {
+                "f_over_m": sum((2 - eps) * m < f < (2 + eps) * m
+                                for m, f in mf) / n,
+                "m_over_g": sum((GAMMA - eps) * g < m < (GAMMA + eps) * g
+                                for m, f in mf) / n,
+                "two_g_lt_3m": sum(2 * g < 3 * m for m, f in mf) / n,
+            }
         assert stats[14]["f_over_m"] <= stats[20]["f_over_m"]
         assert stats[14]["m_over_g"] <= stats[20]["m_over_g"]
 

@@ -1,6 +1,6 @@
 """Kunz coordinates, the inequality system, and the lattice-point oracle."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -144,6 +144,71 @@ class TestCountByPolytope:
         assert vecs == sorted(vecs)
         assert len(vecs) == len(set(vecs))
         assert all(sf.satisfies_kunz(5, v) for v in vecs)
+
+
+def _compositions(g, parts):
+    # Every composition of g into `parts` positive parts.
+    for cuts in combinations(range(1, g), parts - 1):
+        ends = (0,) + cuts + (g,)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+def _prefix_valid(m, pre):
+    # The inequalities of the system whose indices all lie in the prefix.
+    k = (None,) + pre
+    p = len(pre)
+    for i in range(1, p + 1):
+        for j in range(i, p + 1):
+            s = i + j
+            if s <= p and s < m and k[i] + k[j] < k[s]:
+                return False
+            if s > m and k[i] + k[j] + 1 < k[s - m]:
+                return False
+    return True
+
+
+def _max_tail(m, pre):
+    # k_j <= k_i + k_{j-i} bounds each later coordinate by the min-plus
+    # closure of the prefix, so the tail sums to at most this.
+    top = [None, *pre]
+    for j in range(len(pre) + 1, m):
+        top.append(min(top[i] + top[j - i] for i in range(1, j // 2 + 1)))
+    return sum(top[len(pre) + 1:])
+
+
+class TestKunzVectors:
+    def test_matches_brute_force_compositions(self):
+        # The enumerator against a filter over every composition of g,
+        # sorted: same vectors, same (lexicographic) order.
+        for m in range(2, 8):
+            for g in range(1, 12):
+                expected = sorted(c for c in _compositions(g, m - 1)
+                                  if sf.satisfies_kunz(m, c))
+                assert list(sf.kunz_vectors(m, g)) == expected, (m, g)
+
+    def test_empty_slices_and_bad_multiplicity(self):
+        for m in range(2, 7):
+            for g in (0, -1, -5):
+                assert list(sf.kunz_vectors(m, g)) == []
+        for m in (1, 0, -3):
+            with pytest.raises(MultiplicityOne):
+                list(sf.kunz_vectors(m, 5))
+
+    def test_first_vector_of_a_huge_slice(self):
+        # N(30, 200) is far beyond enumeration, so the first vector has to
+        # come lazily.  It is certified least: for each position p and each
+        # smaller value x there, the prefix breaks an inequality, or its tail
+        # cannot reach sum 200 even at the min-plus closure caps, or needs
+        # more than 200 with every later coordinate at 1.
+        m, g = 30, 200
+        first = next(sf.kunz_vectors(m, g))
+        assert sum(first) == g and sf.satisfies_kunz(m, first)
+        for p in range(m - 1):
+            for x in range(1, first[p]):
+                pre = first[:p] + (x,)
+                assert not (_prefix_valid(m, pre)
+                            and sum(pre) + m - 1 - len(pre) <= g
+                            <= sum(pre) + _max_tail(m, pre)), (p, x)
 
 
 class TestRecurrenceBijection:
