@@ -38,13 +38,15 @@ class TestKunzVector:
 def _two_case_kunz(m, coords):
     # The inequality system in its textbook two-case form: k_i + k_j >=
     # k_{i+j} when i + j < m, k_i + k_j + 1 >= k_{i+j-m} when i + j > m.
+    # Given a prefix, only the inequalities whose indices all lie in it.
     if min(coords) < 1:
         return False
     k = (None,) + tuple(coords)   # 1-based
-    for i in range(1, m):
-        for j in range(i, m):
+    p = len(coords)
+    for i in range(1, p + 1):
+        for j in range(i, p + 1):
             s = i + j
-            if s < m and k[i] + k[j] < k[s]:
+            if s < m and s <= p and k[i] + k[j] < k[s]:
                 return False
             if s > m and k[i] + k[j] + 1 < k[s - m]:
                 return False
@@ -153,20 +155,6 @@ def _compositions(g, parts):
         yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
-def _prefix_valid(m, pre):
-    # The inequalities of the system whose indices all lie in the prefix.
-    k = (None,) + pre
-    p = len(pre)
-    for i in range(1, p + 1):
-        for j in range(i, p + 1):
-            s = i + j
-            if s <= p and s < m and k[i] + k[j] < k[s]:
-                return False
-            if s > m and k[i] + k[j] + 1 < k[s - m]:
-                return False
-    return True
-
-
 def _max_tail(m, pre):
     # k_j <= k_i + k_{j-i} bounds each later coordinate by the min-plus
     # closure of the prefix, so the tail sums to at most this.
@@ -206,7 +194,7 @@ class TestKunzVectors:
         for p in range(m - 1):
             for x in range(1, first[p]):
                 pre = first[:p] + (x,)
-                assert not (_prefix_valid(m, pre)
+                assert not (_two_case_kunz(m, pre)
                             and sum(pre) + m - 1 - len(pre) <= g
                             <= sum(pre) + _max_tail(m, pre)), (p, x)
 
