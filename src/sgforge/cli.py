@@ -1,5 +1,6 @@
 """Command-line surface: census tables, single-semigroup records, and
-verification sweeps with machine-readable output.
+verification sweeps with machine-readable output.  Each ``verify`` name is
+an entry of :data:`sgforge.conjectures.SWEEPS`.
 
 Exit codes: 0 success / property holds, 1 usage or input error, 2 a verify
 sweep found violations (witnesses are printed as JSON lines).
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from . import conjectures
 from .core import from_generators
@@ -43,28 +45,9 @@ def _inspect_parser(sub):
     p.add_argument("--output", default=None, metavar="PATH")
 
 
-VERIFY_NAMES = ["wilf", "ye", "bras-amoros", "ordinarization", "pflueger",
-                "zhai-lemma", "kunz-oracle", "recurrence", "buchweitz"]
-
-# Sweeps without a parallel path; they reject --workers.
-_SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
-
-_VERIFY_DEFAULT_RANGE = {
-    "wilf": 30,
-    "ye": 20,
-    "bras-amoros": 30,
-    "ordinarization": 18,
-    "pflueger": 25,
-    "zhai-lemma": 20,      # interpreted as the Frobenius bound
-    "kunz-oracle": 15,
-    "recurrence": 18,
-    "buchweitz": 16,
-}
-
-
 def _verify_parser(sub):
     p = sub.add_parser("verify", help="run a named verification sweep")
-    p.add_argument("name", choices=VERIFY_NAMES)
+    p.add_argument("name", choices=conjectures.SWEEPS)
     p.add_argument("--max-genus", type=int, default=None, metavar="G",
                    help="sweep bound (Frobenius bound for zhai-lemma)")
     # None tells an explicit --workers apart from the default of 1.
@@ -84,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_table(headers: list[str], rows: list[tuple], fmt: str) -> str:
+def _render_table(headers: Sequence[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "json":
         objs = [dict(zip(headers, row)) for row in rows]
         return json.dumps(objs) + "\n"
@@ -132,65 +115,19 @@ def _cmd_inspect(args, out) -> int:
     return 0
 
 
-def _run_verify(name: str, bound: int, workers: int):
-    if name == "wilf":
-        return conjectures.wilf_sweep(bound, workers=workers)
-    if name == "ye":
-        return conjectures.ye_sweep(bound, workers=workers)
-    if name == "bras-amoros":
-        return conjectures.ratio_report(enumerate_tree(bound, workers=workers))
-    if name == "ordinarization":
-        return conjectures.ordinarization_sweep(bound, workers=workers)
-    if name == "pflueger":
-        return conjectures.pflueger_sweep(bound, workers=workers)
-    if name == "zhai-lemma":
-        return conjectures.zhai_sweep(bound)
-    if name == "kunz-oracle":
-        return conjectures.kunz_oracle_sweep(bound)
-    if name == "recurrence":
-        return conjectures.recurrence_sweep(bound, min(bound, 15))
-    return conjectures.buchweitz_sweep(bound, workers=workers)
-
-
-def _report_rows(report) -> tuple[list[str], list[tuple]]:
-    # Tabular side-channel for the sweeps that have a natural table.
-    stats = report.stats
-    if report.name == "bras-amoros":
-        return ["g", "fib_ratio", "phi_ratio"], [
-            (g, f"{a:.6f}", f"{b:.6f}") for g, a, b in stats.get("rows", [])
-        ]
-    if report.name == "pflueger":
-        return ["g", "max_ewt", "bound"], stats.get("rows", [])
-    if report.name == "ordinarization":
-        return ["g", "r", "count"], stats.get("rows", [])
-    if report.name == "wilf":
-        return ["g", "violations"], stats.get("rows", [])
-    if report.name == "kunz-oracle":
-        return ["m", "g", "count_polytope", "count_tree", "match"], \
-            stats.get("rows", [])
-    if report.name == "buchweitz":
-        totals = stats.get("totals", {})
-        failures = stats.get("failures", {})
-        return ["g", "failures", "total"], [
-            (g, failures.get(g, 0), totals[g]) for g in sorted(totals)
-        ]
-    return [], []
-
-
 def _cmd_verify(args, out) -> int:
-    if args.name in _SEQUENTIAL_SWEEPS and args.workers is not None:
+    sweep = conjectures.SWEEPS[args.name]
+    if not sweep.parallel and args.workers is not None:
         raise ValueError(f"verify {args.name} runs sequentially and takes "
                          "no --workers")
-    workers = 1 if args.workers is None else args.workers
-    bound = args.max_genus if args.max_genus is not None \
-        else _VERIFY_DEFAULT_RANGE[args.name]
-    report = _run_verify(args.name, bound, workers)
+    bound = sweep.default_bound if args.max_genus is None else args.max_genus
+    report = sweep.run(bound, 1 if args.workers is None else args.workers)
     if args.format == "json":
         out.write(json.dumps(report.to_json()) + "\n")
     else:
-        headers, rows = _report_rows(report)
+        rows = sweep.rows(report.stats)
         if rows:
-            out.write(_render_table(headers, rows, "csv"))
+            out.write(_render_table(sweep.headers, rows, "csv"))
         status = "ok" if report.ok else "VIOLATIONS"
         print(f"verify {report.name}: {status} "
               f"({json.dumps(report.params)})", file=sys.stderr)

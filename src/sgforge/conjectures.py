@@ -2,8 +2,11 @@
 conjectures that are checkable at desk scale.
 
 Each sweep returns a :class:`VerificationReport`; an empty violation list
-means the property held everywhere on the swept range.  Witnesses carry
-enough of the offending semigroup (its gap set) to re-verify standalone.
+means the property held everywhere on the swept range, and a bound that
+would leave nothing to check raises ValueError.  Witnesses carry enough of
+the offending semigroup (its gap set) to re-verify standalone.
+:data:`SWEEPS` holds the ``sgforge verify`` names, each with its default
+bound, ``--workers`` rule and CSV table.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from .core import NumericalSemigroup, Strength, _from_gap_mask, _sumset
 from .errors import AlreadyOrdinary, IncompleteCensus
@@ -63,15 +67,20 @@ def check_wilf(sg: NumericalSemigroup) -> WilfCheck:
     return WilfCheck(f + 1 <= n * e, f + 1, n, e)
 
 
-def wilf_sweep(g_max: int = 30, *, workers: int = 1,
+def wilf_sweep(g_max: int, *, workers: int = 1,
                census: CensusTable | None = None) -> VerificationReport:
     """Wilf's inequality over every semigroup of genus <= g_max.
 
     The walk checks F + 1 <= (F + 1 - g) * e inline; gap sets of any
-    violators are reported as witnesses.
+    violators are reported as witnesses.  The root has no Frobenius number
+    to check, so g_max = 0 would check nothing; the walk rejects a negative
+    g_max first.
     """
     if census is None or census.g_max < g_max:
         census = enumerate_tree(g_max, workers=workers)
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "genus to check")
     violations = [
         {"gaps": list(gaps),
          "generators": list(NumericalSemigroup(gaps).min_generators)}
@@ -109,9 +118,12 @@ def ye_identity(g: int, census: CensusTable) -> YeCheck:
     return YeCheck(lhs == rhs, lhs, rhs)
 
 
-def ye_sweep(g_max: int = 20, *, census: CensusTable | None = None,
+def ye_sweep(g_max: int, *, census: CensusTable | None = None,
              workers: int = 1) -> VerificationReport:
     """Identity plus its corollary N(g+2) >= N(g+1) - N(g) for g <= g_max."""
+    if g_max < 0:
+        raise ValueError("g_max must be >= 0; smaller bounds leave no "
+                         "genus to check")
     if census is None or census.g_max < g_max + 2:
         census = enumerate_tree(g_max + 2, workers=workers)
     violations = []
@@ -162,7 +174,7 @@ def zhai_lemma_check(m: int, frob: int,
     return ZhaiCheck(lhs <= rhs + 1e-9, lhs, rhs)
 
 
-def zhai_sweep(f_max: int = 20) -> VerificationReport:
+def zhai_sweep(f_max: int) -> VerificationReport:
     """All (m, F) classes with m < F <= f_max and F not a multiple of m.
 
     The first class is (2, 3), so f_max < 3 would check nothing.
@@ -238,7 +250,7 @@ def ordinarization_census(g_max: int, *,
     return dict(table.extras["ordinarization"].counts)
 
 
-def ordinarization_sweep(g_max: int = 18, *,
+def ordinarization_sweep(g_max: int, *,
                          workers: int = 1) -> VerificationReport:
     """Level sums, the single root per level, and n(g, r) <= n(g+1, r).
 
@@ -317,7 +329,7 @@ class BuchweitzCollector:
         return self
 
 
-def buchweitz_sweep(g_max: int = 16, *,
+def buchweitz_sweep(g_max: int, *,
                     workers: int = 1) -> VerificationReport:
     """Count criterion failures per genus (they are data, not violations).
 
@@ -397,7 +409,7 @@ def pflueger_bound(g: int) -> int:
     return (g + 1) ** 2 // 8
 
 
-def pflueger_sweep(g_max: int = 25, *, workers: int = 1) -> VerificationReport:
+def pflueger_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Effective weight against floor((g+1)^2 / 8) for every genus
     1 <= g <= g_max."""
     if g_max < 1:
@@ -537,7 +549,7 @@ def ratio_report(census: CensusTable, *, m_max: int = 9) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Oracle agreement sweeps
 
-def kunz_oracle_sweep(g_max: int = 15, m_max: int = 9, *,
+def kunz_oracle_sweep(g_max: int, m_max: int = 9, *,
                       census: CensusTable | None = None,
                       formula_g_max: int = 30) -> VerificationReport:
     """Tree counts against polytope counts, plus the exact m = 3 formula."""
@@ -570,7 +582,7 @@ def kunz_oracle_sweep(g_max: int = 15, m_max: int = 9, *,
     )
 
 
-def recurrence_sweep(g_max: int = 18, bijection_g_max: int = 15, *,
+def recurrence_sweep(g_max: int, bijection_g_max: int, *,
                      census: CensusTable | None = None) -> VerificationReport:
     """The 2g < 3m truncation recurrence, by counts and by explicit bijection.
 
@@ -606,7 +618,7 @@ def recurrence_sweep(g_max: int = 18, bijection_g_max: int = 15, *,
     )
 
 
-def bounds_sweep(g_max: int = 30, *, census: CensusTable | None = None) -> VerificationReport:
+def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> VerificationReport:
     """2 F(g) <= N(g) <= 1 + 3 * 2^(g-3) for 3 <= g <= g_max, and the
     sandwich fibonacci(g+1) = (F < 2m count) and lower bound <= t(g) <= N(g)."""
     if census is None or census.g_max < g_max:
@@ -629,3 +641,48 @@ def bounds_sweep(g_max: int = 30, *, census: CensusTable | None = None) -> Verif
                                "n": census.n(g), "upper": upper})
     return VerificationReport("bounds", {"g_max": g_max}, violations,
                               {"rows": rows})
+
+
+# ---------------------------------------------------------------------------
+# The ``sgforge verify`` names
+
+@dataclass(frozen=True)
+class Sweep:
+    """One ``sgforge verify`` name.  ``run(bound, workers)`` returns its
+    report; the bound limits the genus, or the Frobenius number for
+    zhai-lemma.  A sweep that is not ``parallel`` ignores ``workers``.
+    ``rows`` turns the report's stats into CSV rows under ``headers``."""
+
+    run: Callable[[int, int], VerificationReport]
+    default_bound: int
+    parallel: bool
+    headers: tuple[str, ...] = ()
+    rows: Callable[[dict], list] = lambda stats: stats.get("rows", [])
+
+
+def _ratio_rows(stats: dict) -> list[tuple]:
+    return [(g, f"{a:.6f}", f"{b:.6f}") for g, a, b in stats["rows"]]
+
+
+def _buchweitz_rows(stats: dict) -> list[tuple]:
+    totals, failures = stats["totals"], stats["failures"]
+    return [(g, failures.get(g, 0), totals[g]) for g in sorted(totals)]
+
+
+SWEEPS: dict[str, Sweep] = {
+    "wilf": Sweep(lambda b, w: wilf_sweep(b, workers=w), 30, True,
+                  ("g", "violations")),
+    "ye": Sweep(lambda b, w: ye_sweep(b, workers=w), 20, True),
+    "bras-amoros": Sweep(lambda b, w: ratio_report(enumerate_tree(b, workers=w)),
+                         30, True, ("g", "fib_ratio", "phi_ratio"), _ratio_rows),
+    "ordinarization": Sweep(lambda b, w: ordinarization_sweep(b, workers=w),
+                            18, True, ("g", "r", "count")),
+    "pflueger": Sweep(lambda b, w: pflueger_sweep(b, workers=w), 25, True,
+                      ("g", "max_ewt", "bound")),
+    "zhai-lemma": Sweep(lambda b, _w: zhai_sweep(b), 20, False),
+    "kunz-oracle": Sweep(lambda b, _w: kunz_oracle_sweep(b), 15, False,
+                         ("m", "g", "count_polytope", "count_tree", "match")),
+    "recurrence": Sweep(lambda b, _w: recurrence_sweep(b, min(b, 15)), 18, False),
+    "buchweitz": Sweep(lambda b, w: buchweitz_sweep(b, workers=w), 16, True,
+                       ("g", "failures", "total"), _buchweitz_rows),
+}

@@ -1,16 +1,46 @@
 """Command-line surface: tables, records, verify sweeps, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import sgforge as sf
+from sgforge import conjectures
 from sgforge.cli import main
 
 # verify names without a parallel path.
 SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
+
+# Every verify name with a bound that runs fast.
+VERIFY_BOUNDS = [
+    ("wilf", "12"),
+    ("ye", "10"),
+    ("bras-amoros", "12"),
+    ("ordinarization", "10"),
+    ("pflueger", "10"),
+    ("zhai-lemma", "10"),
+    ("kunz-oracle", "8"),
+    ("recurrence", "10"),
+    ("buchweitz", "10"),
+]
+
+# The CSV header line of each verify name; None where it prints no table.
+CSV_HEADERS = {
+    "wilf": "g,violations",
+    "ye": None,
+    "bras-amoros": "g,fib_ratio,phi_ratio",
+    "ordinarization": "g,r,count",
+    "pflueger": "g,max_ewt,bound",
+    "zhai-lemma": None,
+    "kunz-oracle": "m,g,count_polytope,count_tree,match",
+    "recurrence": None,
+    "buchweitz": "g,failures,total",
+}
 
 
 def run_cli(capsys, *argv):
@@ -128,17 +158,7 @@ class TestInspect:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("name,bound", [
-        ("wilf", "12"),
-        ("ye", "10"),
-        ("bras-amoros", "12"),
-        ("ordinarization", "10"),
-        ("pflueger", "10"),
-        ("zhai-lemma", "10"),
-        ("kunz-oracle", "8"),
-        ("recurrence", "10"),
-        ("buchweitz", "10"),
-    ])
+    @pytest.mark.parametrize("name,bound", VERIFY_BOUNDS)
     def test_all_names_exit_zero(self, capsys, name, bound):
         # The sequential sweeps take no --workers; see TestSequentialSweeps.
         knobs = [] if name in SEQUENTIAL_SWEEPS else ["--workers", "1"]
@@ -164,9 +184,46 @@ class TestVerify:
         ("pflueger", "0"),
         ("buchweitz", "0"),
         ("buchweitz", "1"),
+        ("ye", "-1"),
+        ("wilf", "0"),
     ])
     def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
         one_line_error(capsys, "verify", name, "--max-genus", bound)
+
+    def test_sweep_table_matches_cli(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        usage = capsys.readouterr().out
+        choices = {c for c in re.findall(r"\{([\w,-]+)\}", usage)
+                   if "wilf" in c}
+        assert len(choices) == 1
+        names = choices.pop().split(",")
+        assert names == list(conjectures.SWEEPS)
+        assert names == [name for name, _ in VERIFY_BOUNDS]
+        assert names == list(CSV_HEADERS)
+        assert tuple(name for name, sweep in conjectures.SWEEPS.items()
+                     if not sweep.parallel) == SEQUENTIAL_SWEEPS
+
+    def test_readme_table_matches_sweeps(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| [\w ]+ \| (yes|no) \|",
+                          readme, re.MULTILINE)
+        assert rows == [(name, str(sweep.default_bound),
+                         "yes" if sweep.parallel else "no")
+                        for name, sweep in conjectures.SWEEPS.items()]
+
+    @pytest.mark.parametrize("name", CSV_HEADERS)
+    def test_csv_header_and_json_name(self, capsys, name):
+        code, out, _ = run_cli(capsys, "verify", name, "--max-genus", "4")
+        assert code == 0
+        if CSV_HEADERS[name] is None:
+            assert out == ""
+        else:
+            assert out.splitlines()[0] == CSV_HEADERS[name]
+        code, out, _ = run_cli(capsys, "verify", name, "--max-genus", "4",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["name"] == name
 
     def test_unknown_name_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -197,14 +254,14 @@ class TestVerify:
         assert "2,1,1" in lines
 
     def test_violations_exit_two_with_witness_lines(self, capsys, monkeypatch):
-        from sgforge import cli
         from sgforge.conjectures import VerificationReport
 
-        def fake_run(name, bound, workers):
-            return VerificationReport(name, {"g_max": bound},
+        def fake_run(bound, workers):
+            return VerificationReport("wilf", {"g_max": bound},
                                       [{"gaps": [1, 2, 5]}], {})
 
-        monkeypatch.setattr(cli, "_run_verify", fake_run)
+        monkeypatch.setitem(conjectures.SWEEPS, "wilf",
+                            replace(conjectures.SWEEPS["wilf"], run=fake_run))
         code, out, err = run_cli(capsys, "verify", "wilf", "--max-genus", "5",
                                  "--workers", "1")
         assert code == 2
@@ -255,8 +312,6 @@ class TestParallelKnobs:
         assert calls == [12, 12]
 
     def test_buchweitz_passes_parallel_knobs(self, capsys, monkeypatch):
-        from sgforge import conjectures
-
         seen = {}
         real = conjectures.buchweitz_sweep
 
@@ -304,13 +359,15 @@ class TestWorkerResolution:
         from sgforge import cli
 
         seen = []
-        real = cli.enumerate_tree
+        real = sf.enumerate_tree
 
         def spy(g_max, **kwargs):
             seen.append(kwargs["workers"])
             return real(g_max, **kwargs)
 
+        # count walks through cli, verify bras-amoros through conjectures.
         monkeypatch.setattr(cli, "enumerate_tree", spy)
+        monkeypatch.setattr(conjectures, "enumerate_tree", spy)
         for command in (["count"], ["verify", "bras-amoros"]):
             code, _, _ = run_cli(capsys, *command, "--max-genus", "6", *knob)
             assert code == 0
@@ -371,7 +428,8 @@ class TestUsageErrors:
 
         # The path is tried before the walk, so a bad one costs no sweep.
         monkeypatch.setattr(cli, "enumerate_tree", no_walk)
-        monkeypatch.setattr(cli, "_run_verify", no_walk)
+        monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
+                            replace(conjectures.SWEEPS["pflueger"], run=no_walk))
         path = tmp_path / "missing" / "x.csv"
         err = one_line_error(capsys, *command, "--output", str(path))
         assert str(path) in err

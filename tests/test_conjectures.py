@@ -493,7 +493,7 @@ class TestOracleSweeps:
         with pytest.raises(ValueError):
             sf.kunz_oracle_sweep(0, census=census16)
         with pytest.raises(ValueError):
-            sf.recurrence_sweep(0, census=census16)
+            sf.recurrence_sweep(0, 0, census=census16)
 
     def test_bounds(self, census16):
         assert sf.bounds_sweep(16, census=census16).ok

@@ -131,6 +131,80 @@ class TestCounts:
             assert seen[g] == brute_force_gapsets(g)
 
 
+# -- every counter against the Kunz polytope ----------------------------------
+
+def kunz_nodes(g_max):
+    """(g, m, F, h, strong, max k_i, Wilf holds, gaps) for every semigroup
+    of genus <= g_max, built from its Kunz vector without the tree.
+
+    h counts the minimal generators above F; the descent into S is the one
+    that removes F from S with F put back, classified from first principles.
+    The root has no Kunz vector: g = 0, m = 1, no Frobenius number, one
+    effective generator, and it counts as strongly descended.
+    """
+    nodes = [(0, 1, -1, 1, True, 0, True, ())]
+    for g in range(1, g_max + 1):
+        for m in range(2, g + 2):
+            for coords in sf.kunz_vectors(m, g):
+                sg = sf.semigroup_from_kunz(m, coords)
+                f = sg.frobenius
+                gaps = sg.gaps()
+                parent = sf.from_gaps(x for x in gaps if x != f)
+                nodes.append((
+                    g, m, f, sum(1 for x in sg.min_generators if x > f),
+                    sf.descent_strength(parent, f) is sf.Strength.STRONG,
+                    max(coords), sf.check_wilf(sg).holds, gaps))
+    return nodes
+
+
+def kunz_census(nodes, g_max, frobenius_max=None):
+    """The CensusTable of a walk to g_max (and frobenius_max), tallied from
+    ``nodes`` into the flat layout the CensusTable docstring gives."""
+    f_max = 3 * g_max + 3 if frobenius_max is None else frobenius_max
+    table = sf.CensusTable.empty(g_max, min(g_max, f_max))
+    width, hw = g_max + 1, g_max + 3
+    witnesses = []
+    for g, m, f, h, strong, k_max, wilf_holds, gaps in nodes:
+        if g > g_max or f > f_max:
+            continue
+        table.n_mg_flat[m * width + g] += 1
+        table.t_gh_flat[g * hw + h] += 1
+        if strong:
+            table.s_gh_flat[g * hw + h] += 1
+        # F < 2m (3m) exactly when every Apery element k_i m + i < 3m (4m).
+        if k_max <= 2:
+            table.f_lt_2m[g] += 1
+        if k_max <= 3:
+            table.f_lt_3m[g] += 1
+        if 1 <= f <= table.frobenius_cap:
+            table.ns_flat[f] += 1
+        if not wilf_holds:
+            table.wilf_violations[g] += 1
+            witnesses.append(gaps)
+    table.wilf_witnesses = sorted(witnesses)[:20]   # the 20 least gap sets
+    return table
+
+
+@pytest.fixture(scope="module")
+def kunz_nodes14():
+    return kunz_nodes(14)
+
+
+class TestKunzRebuild:
+    def test_full_census(self, census16):
+        rebuilt = kunz_census(kunz_nodes(16), 16)
+        assert rebuilt.counts_equal(census16)
+        assert rebuilt.wilf_witnesses == census16.wilf_witnesses
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("f_max", [1, 3, 8, 14, 17, 29])
+    def test_pruned_census(self, kunz_nodes14, f_max, workers):
+        walked = sf.enumerate_tree(14, frobenius_max=f_max, workers=workers)
+        rebuilt = kunz_census(kunz_nodes14, 14, f_max)
+        assert rebuilt.counts_equal(walked)
+        assert rebuilt.wilf_witnesses == walked.wilf_witnesses
+
+
 # -- strength bookkeeping ----------------------------------------------------
 
 class TestStrength:
