@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return commands[args.command](args, out)
-    except (SemigroupError, ValueError) as exc:
+    except (SemigroupError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .core import NumericalSemigroup, Strength, _from_gap_mask, _sumset
+from .core import NumericalSemigroup, _from_gap_mask, _sumset
 from .errors import AlreadyOrdinary, IncompleteCensus
 from .formulas import fibonacci, global_bounds, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
@@ -146,11 +146,10 @@ class StrongClassCollector:
     def __init__(self):
         self.classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def visit(self, frame: TreeFrame) -> None:
-        if frame.descent is Strength.WEAK or frame.frobenius < 1:
-            return
-        key = (frame.multiplicity, frame.frobenius)
-        self.classes.setdefault(key, []).append((frame.genus, frame.efficacy))
+    def visit(self, node: tuple) -> None:
+        _, g, m, f, eff, _, _, strong_in = node
+        if strong_in and f >= 1:
+            self.classes.setdefault((m, f), []).append((g, len(eff)))
 
     def merge(self, other: "StrongClassCollector") -> "StrongClassCollector":
         for key, pairs in other.classes.items():
@@ -169,7 +168,7 @@ def zhai_lemma_check(m: int, frob: int,
     The right side keeps the literal 1.618 (strictly below phi); comparison
     tolerance 1e-9.  An empty class holds trivially.
     """
-    lhs = sum(PHI ** (h - g) for g, h in classes.get((m, frob), ()))
+    lhs = math.fsum(PHI ** (h - g) for g, h in classes.get((m, frob), ()))
     rhs = 5 * (frob - m + 2) * (1.618 / PHI) ** (frob - m - 1)
     return ZhaiCheck(lhs <= rhs + 1e-9, lhs, rhs)
 
@@ -232,8 +231,8 @@ class OrdinarizationCollector:
     def __init__(self):
         self.counts: dict[tuple[int, int], int] = {}
 
-    def visit(self, frame: TreeFrame) -> None:
-        key = (frame.genus, _ordinarization(frame.mask, frame.genus))
+    def visit(self, node: tuple) -> None:
+        key = (node[1], _ordinarization(node[0], node[1]))
         self.counts[key] = self.counts.get(key, 0) + 1
 
     def merge(self, other: "OrdinarizationCollector") -> "OrdinarizationCollector":
@@ -307,20 +306,19 @@ class BuchweitzCollector:
         self.witnesses: list[tuple[int, ...]] = []
         self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, L + L)
 
-    def visit(self, frame: TreeFrame) -> None:
-        g = frame.genus
-        f = frame.frobenius
-        gap_mask = ((1 << (f + 1)) - 1) & ~frame.mask
+    def visit(self, node: tuple) -> None:
+        mask, g, _, f, _, _, _, _ = node
+        gap_mask = ((1 << (f + 1)) - 1) & ~mask
         last = self._last.get(g - 1)
-        if last is not None and last[0] == frame.mask | (1 << f):
+        if last is not None and last[0] == mask | (1 << f):
             # The parent's gaps plus f: L_c + L_c = (L_p + L_p) | (L_c + f).
             sums = last[1] | (gap_mask << f)
         else:
             sums = _sumset(gap_mask)
-        self._last[g] = (frame.mask, sums)
+        self._last[g] = (mask, sums)
         if g >= 2 and sums.bit_count() > 3 * (g - 1):
             self.failures[g] = self.failures.get(g, 0) + 1
-            _add_witness(self.witnesses, frame.gap_tuple())
+            _add_witness(self.witnesses, TreeFrame(node).gap_tuple())
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
         for g, c in other.failures.items():
@@ -374,25 +372,23 @@ class EwtMaxCollector:
         self.argmax_mask: dict[int, int] = {}
         self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, ewt)
 
-    def visit(self, frame: TreeFrame) -> None:
-        f = frame.frobenius
-        g = frame.genus
-        mg = frame.min_generator_mask
+    def visit(self, node: tuple) -> None:
+        mask, g, _, f, _, _, mg, _ = node
         last = self._last.get(g - 1)
-        if last is not None and last[0] == frame.mask | (1 << f):
+        if last is not None and last[0] == mask | (1 << f):
             # Gap f adds the generators below it; any gained lie above f.
             ewt = last[1] + (mg & ((1 << f) - 1)).bit_count()
         else:
-            ewt = frame.semigroup.effective_weight
-        self._last[g] = (frame.mask, ewt)
+            ewt = TreeFrame(node).semigroup.effective_weight
+        self._last[g] = (mask, ewt)
         if f < 1:
             return
         best = self.max_by_genus.get(g, -1)
         if ewt > best or (ewt == best and
-                          _gaps_precede(frame.mask, self.argmax_mask[g])):
+                          _gaps_precede(mask, self.argmax_mask[g])):
             self.max_by_genus[g] = ewt
-            self.argmax_mask[g] = frame.mask
-            self.argmax[g] = frame.gap_tuple()
+            self.argmax_mask[g] = mask
+            self.argmax[g] = TreeFrame(node).gap_tuple()
 
     def merge(self, other: "EwtMaxCollector") -> "EwtMaxCollector":
         for g, v in other.max_by_genus.items():
@@ -451,10 +447,8 @@ class ConcentrationCollector:
         self.m_band: dict[int, int] = {}
         self.two_g_lt_3m: dict[int, int] = {}
 
-    def visit(self, frame: TreeFrame) -> None:
-        g = frame.genus
-        m = frame.multiplicity
-        f = frame.frobenius
+    def visit(self, node: tuple) -> None:
+        _, g, m, f, _, _, _, _ = node
         eps = self.eps
         if (2 - eps) * m < f < (2 + eps) * m:
             self.a_band[g] = self.a_band.get(g, 0) + 1

@@ -16,11 +16,10 @@ tuple of members in (m, cap] used for strength probes, mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
 generator.  The walk tallies each node straight into a
-:class:`CensusTable` and, when collectors are given, hands them a lazy
-:class:`TreeFrame` built from the tuple.  Without collectors, children
-with no admissible edge (at depth g_max, or left with no effective
-generator within the edge bound) are tallied in the parent's loop and
-never materialized.
+:class:`CensusTable` and hands the tuple itself to each collector.
+Children with no admissible edge (at depth g_max, or with no effective
+generator within the edge bound) are tallied, and visited with None for
+mem, in the parent's loop; they are never pushed.
 
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
@@ -63,12 +62,11 @@ def _gaps_of(mask: int, frob: int) -> tuple[int, ...]:
 
 
 class TreeFrame:
-    """Read-only view of one node handed to collectors.
+    """Read-only view of one walk node: ``TreeFrame(node)``.
 
-    Collectors must not mutate frames.  The cheap fields (genus,
-    multiplicity, frobenius, effective values, minimal-generator mask) are
-    plain ints and tuples read off the walk's node; strengths, the
-    embedding dimension and ``semigroup`` are computed on demand.
+    Collectors receive the node tuple and build a frame only when they need
+    a derived field.  The cheap fields are read off the tuple; strengths,
+    the embedding dimension, gaps and ``semigroup`` are computed on demand.
     """
 
     __slots__ = (
@@ -124,12 +122,15 @@ class TreeFrame:
 class Collector(Protocol):
     """Per-node statistic that merges as a commutative monoid.
 
-    The walk is pre-order: the last node visited at depth g - 1 is the
-    parent of a node at depth g, except at the root and each parallel job
-    root.  Confirm it by its mask, ``frame.mask | (1 << frame.frobenius)``.
+    ``visit`` receives the walk's node tuple ``(mask, genus, multiplicity,
+    frobenius, effective_values, _members, min_generator_mask, strong_in)``;
+    ``_members`` is private (None on most childless nodes), and
+    ``TreeFrame(node)`` derives the rest.  The walk is pre-order: the last
+    node visited at depth g - 1 is the parent of a node at depth g, except
+    at the root and each job root; confirm it by ``mask | (1 << frobenius)``.
     """
 
-    def visit(self, frame: TreeFrame) -> None: ...
+    def visit(self, node: tuple) -> None: ...
 
     def merge(self, other: "Collector") -> "Collector": ...
 
@@ -327,13 +328,12 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     """Tally the subtree under ``root`` into ``table``; return its frontier.
 
     Every node reachable within depth g_max and edge bound lam_max is
-    tallied exactly once and handed to each collector as a
-    :class:`TreeFrame`.  Children at depth ``frontier_depth`` are returned
-    instead of visited so a driver can hand their subtrees to workers.
-    Without collectors, children with no admissible edge (at depth g_max,
-    or with no effective generator <= lam_max) are tallied in the parent's
-    loop and never materialized, frontier children included; only the
-    ordinary child is always built.
+    tallied exactly once and its tuple handed to each collector, in
+    pre-order.  Children at depth ``frontier_depth`` are returned instead
+    of visited so a driver can hand their subtrees to workers.  Children
+    with no admissible edge (at depth g_max, or with no effective generator
+    <= lam_max), frontier children included, are tallied and visited in
+    the parent's loop and never pushed.
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
@@ -347,7 +347,6 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     width = g_max + 1
     hw = g_max + 3
     cap = _member_cap(g_max)
-    fold = not collectors
     frontier = []
     stack = [root]
     push = stack.append
@@ -373,9 +372,8 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             wilf_bad[g] += 1
             _add_witness(wilf_wit, _gaps_of(B, F))
         if collectors:
-            frame = TreeFrame(node)
             for coll in collectors:
-                coll.visit(frame)
+                coll.visit(node)
         g1 = g + 1
         if g1 > g_max:
             continue
@@ -408,9 +406,10 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                         break
                 # A child at depth g_max, or with no effective generator
                 # (eff[i + 1:], plus x when strong) up to lam_max, has no
-                # admissible edge: tally it here instead of pushing it.
-                if fold and (last or not (strong and x <= lam_max)
-                             and (i + 1 == h or eff[i + 1] > lam_max)):
+                # admissible edge: tally (and visit) it here, never push it.
+                leaf = last or (not (strong and x <= lam_max)
+                                and (i + 1 == h or eff[i + 1] > lam_max))
+                if leaf:
                     hc = h - i - 1
                     ec = e - 1
                     if strong:
@@ -430,19 +429,26 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                     if lam + 1 > (lam + 1 - g1) * ec:
                         wilf_bad[g1] += 1
                         _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
-                    continue
+                    if not collectors:
+                        continue
                 rest = eff[i + 1:]
                 mgc = mg ^ (1 << lam)
                 if strong:
                     k = bisect_left(rest, x)
                     rest = rest[:k] + (x,) + rest[k:]
                     mgc |= 1 << x
-                if lam <= cap:
+                if leaf:
+                    memc = None
+                elif lam <= cap:
                     j = mem.index(lam)
                     memc = mem[:j] + mem[j + 1:]
                 else:
                     memc = mem
                 child = (B ^ (1 << lam), g1, m, lam, rest, memc, mgc, strong)
+                if leaf:
+                    for coll in collectors:
+                        coll.visit(child)
+                    continue
             if collect:
                 frontier.append(child)
             else:
@@ -456,8 +462,8 @@ def _spine_frontier(g_max, lam_max, table, collectors=()):
     The spine is the chain of ordinary semigroups {0, m, m+1, ...}, each the
     child of the last that removes its multiplicity m.  It holds most of the
     tree's top, so the calling process walks it; every other child of a spine
-    node roots one job, unless a walk without collectors tallies it here as
-    childless.  Jobs run in (depth, Frobenius number) order, which starts
+    node roots one job, unless it is childless and so tallied (and visited)
+    here.  Jobs run in (depth, Frobenius number) order, which starts
     the heavy shallow subtrees first.
     """
     jobs = []
@@ -497,7 +503,7 @@ def enumerate_tree(
     ``workers`` > 1 runs in parallel: the calling process walks the chain
     of ordinary semigroups from the root, and each of their other children
     roots one job on a pool of ``workers`` processes, except the childless
-    ones of a walk without collectors, which the calling process tallies.
+    ones, which the calling process tallies and visits.
     Results merge in the fixed job order and witness lists keep the least
     gap tuples, so the table is identical to a sequential run.
     ``split_depth`` shapes nothing: it is range-checked and otherwise

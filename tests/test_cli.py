@@ -415,6 +415,14 @@ class TestUsageErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["count"], ["verify", "pflueger"]],
+                             ids=["count", "verify"])
+    def test_huge_genus_is_one_line_error(self, capsys, command):
+        # Too large for a list length, so the first counter table fails
+        # with OverflowError before anything is allocated.
+        err = one_line_error(capsys, *command, "--max-genus", "9" * 20)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [
         ["count", "--max-genus", "3"],
         ["verify", "pflueger", "--max-genus", "3"],

@@ -1,5 +1,6 @@
 """Identity and conjecture sweeps at test scale (acceptance runs go deeper)."""
 
+import random
 from collections import Counter
 from functools import partial
 
@@ -68,6 +69,26 @@ class TestZhaiLemma:
         assert res.lhs == pytest.approx(PHI ** -1)
         assert res.rhs == pytest.approx(15.0)
 
+    def test_class_sum_ignores_visit_order(self):
+        # The walk's visit order is an implementation detail; the exactly
+        # rounded sum gives every shuffle of a class the same bits, where a
+        # left-to-right sum would not.
+        table = sf.enumerate_tree(18, frobenius_max=18,
+                                  collectors={"strong": sf.conjectures.StrongClassCollector})
+        classes = table.extras["strong"].classes
+        rng = random.Random(12)
+        naive_moved = 0
+        for key, pairs in classes.items():
+            lhs = sf.zhai_lemma_check(*key, classes).lhs
+            naive = sum(PHI ** (h - g) for g, h in pairs)
+            for _ in range(3):
+                shuffled = rng.sample(pairs, len(pairs))
+                assert sf.zhai_lemma_check(*key, {key: shuffled}).lhs.hex() \
+                    == lhs.hex()
+                naive_moved += sum(PHI ** (h - g)
+                                   for g, h in shuffled) != naive
+        assert naive_moved
+
     def test_empty_class_holds(self):
         res = sf.zhai_lemma_check(5, 11, {})
         assert res.holds and res.lhs == 0.0
@@ -129,8 +150,8 @@ class TestOrdinarization:
     def test_popcount_matches_step_simulation(self):
         table = sf.enumerate_tree(16, collectors={"log": FrameLog})
         expected = Counter()
-        for g, frames in table.extras["log"].by_genus.items():
-            for frame in frames:
+        for g, nodes in table.extras["log"].by_genus.items():
+            for frame in map(sf.TreeFrame, nodes):
                 steps = _ordinarization_steps(frame.gap_tuple())
                 assert sf.ordinarization_number(frame.semigroup) == steps
                 expected[g, steps] += 1
@@ -171,8 +192,8 @@ class TestBuchweitz:
             def __init__(self):
                 self.bad = 0
 
-            def visit(self, frame):
-                gaps = frame.gap_tuple()
+            def visit(self, node):
+                gaps = sf.TreeFrame(node).gap_tuple()
                 naive = len({a + b for a in gaps for b in gaps})
                 if naive != sf.gap_sumset_size(gaps):
                     self.bad += 1
@@ -213,17 +234,17 @@ class TestBuchweitz:
 
 
 class FrameLog:
-    """Keeps every frame it visits, grouped by genus."""
+    """Keeps every node tuple it visits, grouped by genus."""
 
     def __init__(self):
         self.by_genus = {}
 
-    def visit(self, frame):
-        self.by_genus.setdefault(frame.genus, []).append(frame)
+    def visit(self, node):
+        self.by_genus.setdefault(node[1], []).append(node)
 
     def merge(self, other):
-        for g, frames in other.by_genus.items():
-            self.by_genus.setdefault(g, []).extend(frames)
+        for g, nodes in other.by_genus.items():
+            self.by_genus.setdefault(g, []).extend(nodes)
         return self
 
 
@@ -263,7 +284,8 @@ class TestParallelSweeps:
         from sgforge.conjectures import _gaps_precede
 
         table = sf.enumerate_tree(7, collectors={"log": FrameLog})
-        for frames in table.extras["log"].by_genus.values():
+        for nodes in table.extras["log"].by_genus.values():
+            frames = [sf.TreeFrame(node) for node in nodes]
             for a in frames:
                 for b in frames:
                     assert _gaps_precede(a.mask, b.mask) == \
@@ -282,11 +304,12 @@ class IncrementalAudit:
         self.wrong = 0
         self.orphans = []
 
-    def visit(self, frame):
+    def visit(self, node):
+        frame = sf.TreeFrame(node)
         last = self._last.get(frame.genus - 1)
         if last is None or last[0] != frame.mask | (1 << frame.frobenius):
             self.orphans.append(frame.mask)
-        super().visit(frame)
+        super().visit(node)
         self.nodes += 1
         if self._last[frame.genus] != (frame.mask, self.scratch(frame)):
             self.wrong += 1
@@ -317,7 +340,8 @@ class TestIncrementalCollectors:
 
     def _expected_orphans(self, workers):
         # The root, and with a pool each job root, which starts in a fresh
-        # collector.  A collector walk ships childless children as jobs too.
+        # collector.  Childless children are visited in their parent's loop,
+        # so none of them roots a job.
         from sgforge.tree import CensusTable, _root_frame, _spine_frontier
 
         g = self.G_MAX
@@ -345,18 +369,19 @@ class TestIncrementalCollectors:
         # semigroup, holds every member of S but is not its parent; visited
         # just before S, it must send S to the scratch path.
         table = sf.enumerate_tree(10, collectors={"log": FrameLog})
-        frames = [f for fs in table.extras["log"].by_genus.values()
-                  for f in fs]
-        by_mask = {f.mask: f for f in frames}
+        nodes = [n for ns in table.extras["log"].by_genus.values()
+                 for n in ns]
+        by_mask = {n[0]: n for n in nodes}
         coll = audit()
         children = Counter()
-        for child in frames:
-            for x in child.gap_tuple()[:-1]:
-                near = by_mask.get(child.mask | (1 << x))
+        for child in nodes:
+            frame = sf.TreeFrame(child)
+            for x in frame.gap_tuple()[:-1]:
+                near = by_mask.get(frame.mask | (1 << x))
                 if near is not None:
                     coll.visit(near)
                     coll.visit(child)
-                    children[child.mask] += 1
+                    children[frame.mask] += 1
         assert children.total() > 100
         assert coll.wrong == 0
         assert not children - Counter(coll.orphans)

@@ -19,8 +19,8 @@ def all_semigroups(g_max):
         def __init__(self):
             self.gapsets = []
 
-        def visit(self, frame):
-            self.gapsets.append(frame.gap_tuple())
+        def visit(self, node):
+            self.gapsets.append(sf.TreeFrame(node).gap_tuple())
 
         def merge(self, other):
             self.gapsets.extend(other.gapsets)

@@ -64,7 +64,8 @@ class TestCountFLt2m:
             def __init__(self):
                 self.bad = 0
 
-            def visit(self, frame):
+            def visit(self, node):
+                frame = sf.TreeFrame(node)
                 f, m = frame.frobenius, frame.multiplicity
                 if f >= 2 * m or frame.genus == 0:
                     return

@@ -65,7 +65,8 @@ class GapSetCollector:
     def __init__(self):
         self.by_genus = defaultdict(set)
 
-    def visit(self, frame):
+    def visit(self, node):
+        frame = sf.TreeFrame(node)
         self.by_genus[frame.genus].add(frame.gap_tuple())
 
     def merge(self, other):
@@ -75,12 +76,52 @@ class GapSetCollector:
 
 
 class NoopCollector:
-    # Any collector switches the walk to building every child, so a no-op
-    # one gives an unfolded reference walk.
-    def visit(self, frame):
+    # Any collector makes the walk build (and visit) the childless children
+    # it tallies in the parent's loop; a no-op one prices only that.
+    def visit(self, node):
         pass
 
     def merge(self, other):
+        return self
+
+
+class FrameCheck:
+    """Checks every frame against its semigroup; records the distinct
+    masks, the visits, and (genus, has effective generators) of each
+    childless node the walk built in its parent's loop."""
+
+    def __init__(self):
+        self.bad = 0
+        self.masks = set()
+        self.visits = 0
+        self.childless = set()
+
+    def visit(self, node):
+        frame = sf.TreeFrame(node)
+        self.masks.add(frame.mask)
+        self.visits += 1
+        if node[5] is None:
+            self.childless.add((frame.genus, frame.efficacy > 0))
+        sg = frame.semigroup
+        ok = (
+            sg.genus == frame.genus
+            and sg.multiplicity == frame.multiplicity
+            and sg.frobenius == frame.frobenius
+            and sg.min_generators == frame.min_generators()
+            and sg.embedding_dimension == frame.embedding_dimension
+            and sg.efficacy == frame.efficacy
+            and tuple(t.value for t in frame.effective)
+            == tuple(t.value for t in sg.effective_generators()
+                     if t.effective)
+        )
+        if not ok:
+            self.bad += 1
+
+    def merge(self, other):
+        self.bad += other.bad
+        self.masks |= other.masks
+        self.visits += other.visits
+        self.childless |= other.childless
         return self
 
 
@@ -236,7 +277,8 @@ class TestStrength:
             def __init__(self):
                 self.mismatches = []
 
-            def visit(self, frame):
+            def visit(self, node):
+                frame = sf.TreeFrame(node)
                 sg = frame.semigroup
                 for tag in frame.effective:
                     expected = sf.descent_strength(sg, tag.value)
@@ -259,7 +301,8 @@ class TestStrength:
                 self.seen = defaultdict(int)
                 self.mismatches = []
 
-            def visit(self, frame):
+            def visit(self, node):
+                frame = sf.TreeFrame(node)
                 if frame.genus == 0:
                     return
                 parent = sf.from_gaps(frame.gap_tuple()[:-1])
@@ -286,7 +329,8 @@ class TestStrength:
             def __init__(self):
                 self.gapsets = []
 
-            def visit(self, frame):
+            def visit(self, node):
+                frame = sf.TreeFrame(node)
                 if frame.descent is not sf.Strength.WEAK:
                     self.gapsets.append(frame.gap_tuple())
 
@@ -378,8 +422,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("g_max", range(15))
     def test_folded_walk_matches_unfolded_walk(self, g_max):
-        # Childless children are tallied in the parent's loop only without
-        # collectors.  Under a Frobenius bound a child can also be childless
+        # Childless children are tallied in the parent's loop; a walk with
+        # collectors also builds and visits them there, and must tally the
+        # same.  Under a Frobenius bound a child can also be childless
         # because every effective generator it keeps lies above the bound.
         bounds = [None] + sorted({f for f in (1, 3, g_max // 2 + 1, g_max,
                                               g_max + 3, 2 * g_max + 1)
@@ -442,6 +487,23 @@ class TestDeterminism:
         assert max(sizes) <= total / 8
         assert min(sizes) > 1
 
+    @pytest.mark.parametrize("g_max,f_max", [(14, None), (24, None),
+                                             (14, 14), (20, 9)])
+    def test_spine_frontier_ignores_collectors(self, g_max, f_max):
+        # Collector walks fold childless children too, so they ship the
+        # same jobs as count-only walks and tally the same spine.
+        from sgforge.tree import CensusTable, _spine_frontier
+
+        lam_max = 3 * g_max + 3 if f_max is None else f_max
+        plain = CensusTable.empty(g_max, g_max)
+        rich = CensusTable.empty(g_max, g_max)
+        coll = GapSetCollector()
+        jobs = _spine_frontier(g_max, lam_max, plain)
+        assert jobs
+        assert _spine_frontier(g_max, lam_max, rich, [coll]) == jobs
+        assert rich.counts_equal(plain)
+        assert sum(map(len, coll.by_genus.values())) == sum(plain.n_of_g)
+
     def test_merge_rejects_tables_of_other_runs(self):
         from sgforge.tree import CensusTable
 
@@ -474,38 +536,28 @@ class TestDeterminism:
 
 class TestFrames:
     def test_frame_fields_consistent(self):
-        class FrameCheck:
-            def __init__(self):
-                self.bad = 0
-
-            def visit(self, frame):
-                sg = frame.semigroup
-                ok = (
-                    sg.genus == frame.genus
-                    and sg.multiplicity == frame.multiplicity
-                    and sg.frobenius == frame.frobenius
-                    and sg.min_generators == frame.min_generators()
-                    and sg.embedding_dimension == frame.embedding_dimension
-                    and sg.efficacy == frame.efficacy
-                    and tuple(t.value for t in frame.effective)
-                    == tuple(t.value for t in sg.effective_generators()
-                             if t.effective)
-                )
-                if not ok:
-                    self.bad += 1
-
-            def merge(self, other):
-                self.bad += other.bad
-                return self
-
-        table = sf.enumerate_tree(8, collectors={"check": FrameCheck})
-        assert table.extras["check"].bad == 0
+        # Childless children are built and visited in the parent's loop: at
+        # the depth bound, and in a pruned walk also below it, when every
+        # effective generator they keep lies above the Frobenius bound.
+        for g_max, f_max, workers in ((8, None, 1), (9, 12, 1),
+                                      (10, None, 2), (9, 12, 2)):
+            table = sf.enumerate_tree(g_max, frobenius_max=f_max,
+                                      workers=workers,
+                                      collectors={"check": FrameCheck})
+            check = table.extras["check"]
+            assert check.bad == 0
+            assert check.visits == len(check.masks) == sum(table.n_of_g)
+            assert (g_max, True) in check.childless
+            assert any(g < g_max and has_edges
+                       for g, has_edges in check.childless) \
+                == (f_max is not None)
 
     def test_root_frame_descent(self):
         seen = {}
 
         class RootProbe:
-            def visit(self, frame):
+            def visit(self, node):
+                frame = sf.TreeFrame(node)
                 if frame.genus == 0:
                     seen["descent"] = frame.descent
 
