@@ -106,8 +106,7 @@ def _cmd_count(args, out) -> int:
 def _cmd_inspect(args, out) -> int:
     sg = from_generators(args.generators)
     record = sg.to_record()
-    weight, ewt, partition = sg.weight_data()
-    record["partition"] = list(partition.parts)
+    record["partition"] = list(sg.weight_data()[2].parts)
     wilf = conjectures.check_wilf(sg)
     record["wilf"] = {"holds": wilf.holds, "f_plus_1": wilf.f_plus_1,
                       "n": wilf.n, "e": wilf.e}

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
-from operator import ge, sub
-from typing import Iterable
+from operator import sub
+from typing import Iterable, Sequence
 
 from .errors import EmptyGenerators, GcdNotOne, NotAMember, NotEffective
 
@@ -59,7 +59,7 @@ class Partition:
         ps = self.parts
         if ps and min(ps) <= 0:
             raise ValueError("partition parts must be positive")
-        if not all(map(ge, ps, ps[1:])):
+        if list(ps) != sorted(ps, reverse=True):
             raise ValueError("partition parts must be weakly decreasing")
 
     @property
@@ -98,7 +98,7 @@ def _is_strong(members: int, m: int, lam: int) -> bool:
     return True
 
 
-def _positive_ints(values: list) -> bool:
+def _positive_ints(values: Sequence) -> bool:
     """True iff each value is an int >= 1 (the exact type: not a bool)."""
     return set(map(type, values)) <= {int} and min(values, default=1) >= 1
 
@@ -124,8 +124,10 @@ class NumericalSemigroup:
         gap_list = list(gaps)
         if not _positive_ints(gap_list):
             raise ValueError("gaps must be positive integers")
-        # Distinct powers of two, so the sum is their OR.
-        self._init_from_gap_mask(sum(map((1).__lshift__, set(gap_list))))
+        gap_mask = 0
+        for x in gap_list:
+            gap_mask |= 1 << x
+        self._init_from_gap_mask(gap_mask)
 
     def _init_from_gap_mask(self, gap_mask: int) -> None:
         # Every constructor ends here; bit x of gap_mask is set for each gap.
@@ -138,20 +140,27 @@ class NumericalSemigroup:
         # multiple of m, so the members are closed under addition iff adding
         # m or two Apéry elements never lands on a gap.  The minimal
         # generators are m and the Apéry elements that are no such sum.
+        # Both loops peel off lowest bits: there are under m Apéry elements.
         limit = frob + mult
         ext = ((1 << (limit + 1)) - 1) ^ gap_mask
         apery = ext & ~(ext << mult) & -2
         sums = 0
-        for u in _bits(apery & ((1 << (limit // 2 + 1)) - 1)):
-            sums |= apery << u
+        low = apery & ((1 << (limit // 2 + 1)) - 1)
+        while low:
+            sums |= apery << ((low & -low).bit_length() - 1)
+            low &= low - 1
         if ((ext << mult) | sums) & gap_mask:
             raise ValueError("complement is not closed under addition")
+        gens = [mult]
+        low = apery & ~sums
+        while low:
+            gens.append((low & -low).bit_length() - 1)
+            low &= low - 1
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "frobenius", frob)
         object.__setattr__(self, "genus", gap_mask.bit_count())
         object.__setattr__(self, "multiplicity", mult)
-        object.__setattr__(self, "min_generators",
-                           tuple(_bits(apery & ~sums | (1 << mult))))
+        object.__setattr__(self, "min_generators", tuple(gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup instances are immutable")
@@ -196,9 +205,13 @@ class NumericalSemigroup:
             n = self.multiplicity
         if n < 1 or n not in self:
             raise NotAMember(f"{n} is not a positive member")
+        return [i + n * k for i, k in enumerate(self._kunz(n))]
+
+    def _kunz(self, n: int) -> list[int]:
+        """The k_i with k_i * n + i the least member congruent to i mod n."""
         # Character x is 1 iff x is a member; every x > F is one.
         bits = bin(self._mask)[:1:-1] + "1" * n
-        return [i + n * bits[i::n].index("1") for i in range(n)]
+        return [bits[i::n].index("1") for i in range(n)]
 
     # -- tree-facing operations ------------------------------------------
 
@@ -240,41 +253,38 @@ class NumericalSemigroup:
         partition = row lengths of the region cut out by the membership path
                     on [0, 2g]; its size is always weight + genus.
         """
+        gaps, weight, ewt = self._gap_weights()
+        parts = tuple(map(sub, reversed(gaps), range(len(gaps) - 1, -1, -1)))
+        return weight, ewt, Partition(parts)
+
+    def _gap_weights(self) -> tuple[list[int], int, int]:
+        """(sorted gaps, weight, ewt), reading the gap mask once."""
         gap_mask = self._gap_mask()
         gaps = _bits(gap_mask)
         g = len(gaps)
-        weight = sum(gaps) - g * (g + 1) // 2
-        # Summed the other way round: each minimal generator counts the
-        # gaps above it.
-        ewt = sum((gap_mask >> n).bit_count() for n in self.min_generators)
-        parts = tuple(map(sub, reversed(gaps), range(g - 1, -1, -1)))
-        return weight, ewt, Partition(parts)
+        # ewt the other way round: each minimal generator counts the gaps above.
+        return (gaps, sum(gaps) - g * (g + 1) // 2,
+                sum((gap_mask >> n).bit_count() for n in self.min_generators))
 
     @property
     def effective_weight(self) -> int:
-        return self.weight_data()[1]
+        return self._gap_weights()[2]
 
     # -- interchange -------------------------------------------------------
 
     def to_record(self) -> dict:
         """JSON-ready record with a fixed field order."""
-        m = self.multiplicity
-        if m >= 2:
-            ap = self.apery_set(m)
-            kunz = [(ap[i] - i) // m for i in range(1, m)]
-        else:
-            kunz = []
-        weight, ewt, _ = self.weight_data()
+        gaps, weight, ewt = self._gap_weights()
         return {
             "generators": list(self.min_generators),
-            "multiplicity": m,
+            "multiplicity": self.multiplicity,
             "frobenius": self.frobenius,
             "genus": self.genus,
-            "gaps": list(self.gaps()),
+            "gaps": gaps,
             "efficacy": self.efficacy,
             "weight": weight,
             "ewt": ewt,
-            "kunz": kunz,
+            "kunz": self._kunz(self.multiplicity)[1:],
         }
 
     # -- dunder ------------------------------------------------------------

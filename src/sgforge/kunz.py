@@ -47,8 +47,7 @@ def kunz_vector(sg: NumericalSemigroup) -> KunzVector:
     m = sg.multiplicity
     if m < 2:
         raise MultiplicityOne("the trivial semigroup has no Kunz vector")
-    ap = sg.apery_set(m)
-    return KunzVector(m, tuple((ap[i] - i) // m for i in range(1, m)))
+    return KunzVector(m, tuple(sg._kunz(m)[1:]))
 
 
 def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
@@ -60,7 +59,7 @@ def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:
     when i + j > m.  :class:`KunzVector` checks m and the length.
     """
     vec = KunzVector(m, tuple(coords))
-    if not _positive_ints(list(vec.coords)):
+    if not _positive_ints(vec.coords):
         return False
     w = vec.apery() * 2           # w[i + j] is w_((i + j) mod m)
     for i in range(1, m):
@@ -78,13 +77,14 @@ def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
     Kunz system holds, so the initializer's closure check raises InvalidKunz.
     """
     coords = KunzVector(m, tuple(coords)).coords
-    if _positive_ints(list(coords)):
-        # Residue i holds the k_i gaps i, i + m, ..., i + (k_i - 1) m, and
-        # sum(2**(j*m) for j < k) == (2**(k*m) - 1) // (2**m - 1).
-        row = (1 << m) - 1
+    if _positive_ints(coords):
+        # Residue i holds the gaps i, i + m, ..., w_i - m for w_i = k_i*m + i,
+        # so sum(2**w_i) == (2**m - 1) * gap_mask + 2**m - 2.
+        apery = 0
+        for i, k in enumerate(coords, start=1):
+            apery |= 1 << (k * m + i)
         try:
-            return _from_gap_mask(sum(((1 << (k * m)) - 1) // row << i
-                                      for i, k in enumerate(coords, start=1)))
+            return _from_gap_mask(apery // ((1 << m) - 1))
         except ValueError:
             pass
     raise InvalidKunz(f"({m}, {coords}) violates the inequality system")

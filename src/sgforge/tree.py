@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol
@@ -531,6 +530,7 @@ def enumerate_tree(
     frontier = _spine_frontier(g_max, lam_max, table, made)
     jobs = [(frame, g_max, lam_max, table.frobenius_cap, factories)
             for frame in frontier]
+    from multiprocessing import get_context   # slow to import; only used here
     with get_context().Pool(processes=workers) as pool:
         # imap keeps the job order, and merging overlaps the running jobs.
         for sub in pool.imap(_subtree_job, jobs):

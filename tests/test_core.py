@@ -109,6 +109,15 @@ class TestFromGaps:
         assert s == sf.from_generators({3, 5})
         assert sf.from_gaps([7, 1, 4, 2, 4, 1]) == s
 
+    def test_round_trip_of_a_wide_mask(self):
+        # <20, 59> has genus 551 and F = 1101, the tail of the benchmark's
+        # draw, so both mask builders run on about 1,100 bits.
+        s = sf.from_generators((20, 59))
+        assert (s.genus, s.frobenius) == (551, 1101)
+        assert sf.from_gaps(s.gaps()) == s
+        assert sf.from_gaps(reversed(s.gaps())) == s
+        assert sf.semigroup_from_kunz(20, sf.kunz_vector(s).coords) == s
+
     def test_rejects_non_coideal(self):
         # 2 and 3 would be members, but 2 + 2 = 4 is listed as a gap.
         with pytest.raises(ValueError):
@@ -461,6 +470,30 @@ class TestProperties:
                 member, s.frobenius, s.multiplicity)
             assert sf.from_gaps(gaps) == s
             assert sf.from_generators(s.min_generators) == s
+
+    def test_record_matches_search_oracles(self, drawn):
+        # Every field recomputed from the searched membership alone: weight
+        # and ewt gap by gap as in weight_data_by_gaps, Kunz coordinates
+        # from the least member per residue.
+        for gens, s, member, gaps in drawn:
+            m, f = gens[0], gaps[-1]
+            mingens = minimal_generators_by_search(member, f, m)
+            record = s.to_record()
+            expected = {
+                "generators": list(mingens),
+                "multiplicity": m,
+                "frobenius": f,
+                "genus": len(gaps),
+                "gaps": list(gaps),
+                "efficacy": sum(1 for n in mingens if n > f),
+                "weight": sum(l - i for i, l in enumerate(gaps, start=1)),
+                "ewt": sum(bisect_left(mingens, l) for l in gaps),
+                "kunz": [(least_in_residue(member, m, i) - i) // m
+                         for i in range(1, m)],
+            }
+            assert record == expected
+            assert list(record) == list(expected)
+            assert s.weight_data()[:2] == (record["weight"], record["ewt"])
 
     def test_kunz_round_trip(self, drawn):
         for _gens, s, member, _gaps in drawn:

@@ -421,11 +421,13 @@ class TestDeterminism:
         assert fast.counts_equal(rich)
 
     @pytest.mark.parametrize("g_max", range(15))
-    def test_folded_walk_matches_unfolded_walk(self, g_max):
-        # Childless children are tallied in the parent's loop; a walk with
-        # collectors also builds and visits them there, and must tally the
-        # same.  Under a Frobenius bound a child can also be childless
-        # because every effective generator it keeps lies above the bound.
+    def test_collector_walk_tallies_like_count_only_walk(self, g_max):
+        # Every walk tallies childless children in the parent's loop; a walk
+        # with collectors also builds and visits them there, and must leave
+        # the tallies and witnesses as a count-only walk has them.  Under a
+        # Frobenius bound a child can also be childless because every
+        # effective generator it keeps lies above the bound.  The fold
+        # itself is pinned against the Kunz oracle by TestKunzRebuild.
         bounds = [None] + sorted({f for f in (1, 3, g_max // 2 + 1, g_max,
                                               g_max + 3, 2 * g_max + 1)
                                   if f >= 1})

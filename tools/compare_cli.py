@@ -1,15 +1,18 @@
-"""Run a fixed set of ``sgforge verify`` cases on two source trees and
-report every case whose stdout, stderr or exit code differs.
+"""Run a fixed set of ``sgforge verify`` and ``sgforge inspect`` cases on
+two source trees and report every case whose stdout, stderr or exit code
+differs.
 
     python3 tools/compare_cli.py OLD/src NEW/src
 
 Each case runs ``python -m sgforge.cli`` in a fresh process with
-``PYTHONPATH`` set to one tree.  The 216 cases are every verify name in
+``PYTHONPATH`` set to one tree.  The 223 cases are every verify name in
 csv and json at ``--max-genus`` 2, 3 and 9, with no ``--workers``, with 1
 and with 2; every name at ``--max-genus`` -1, 0 and 1 and with
 ``--workers 0``; the default bound in csv and json for every name but
 ``wilf`` and ``bras-amoros``, whose genus-30 walks take tens of seconds;
-and ``verify --help``, ``--help``, an unknown name and a bare ``verify``.
+``verify --help``, ``--help``, an unknown name and a bare ``verify``; and
+``inspect`` on five generator sets from the trivial semigroup to
+<20, 59> (genus 551), a set with gcd 2 and a set holding 0.
 Runs two cases at a time.  Exits 1 if any case differs.  Needs only the
 standard library.
 """
@@ -24,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 NAMES = ("wilf", "ye", "bras-amoros", "ordinarization", "pflueger",
          "zhai-lemma", "kunz-oracle", "recurrence", "buchweitz")
 SLOW_DEFAULTS = ("wilf", "bras-amoros")
+INSPECT_SETS = ("1", "2 5", "3 5 7", "6 9 20", "20 59", "4 6", "0 3")
 
 
 def cases() -> list[list[str]]:
@@ -44,6 +48,7 @@ def cases() -> list[list[str]]:
                 out.append(["verify", name, "--format", fmt])
     out += [["verify", "--help"], ["--help"], ["verify", "nosuch"],
             ["verify"]]
+    out += [["inspect", *gens.split()] for gens in INSPECT_SETS]
     return out
 
 
