@@ -421,7 +421,7 @@ class TestDeterminism:
         assert fast.counts_equal(rich)
 
     @pytest.mark.parametrize("g_max", range(15))
-    def test_collector_walk_tallies_like_count_only_walk(self, g_max):
+    def test_folded_walk_matches_unfolded_walk(self, g_max):
         # Every walk tallies childless children in the parent's loop; a walk
         # with collectors also builds and visits them there, and must leave
         # the tallies and witnesses as a count-only walk has them.  Under a
