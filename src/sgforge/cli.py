@@ -9,6 +9,7 @@ sweep found violations (witnesses are printed as JSON lines).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Sequence
@@ -142,19 +143,26 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"count": _cmd_count, "inspect": _cmd_inspect,
                 "verify": _cmd_verify}
     try:
-        out = sys.stdout if args.output is None else \
-            open(args.output, "w", newline="")   # before the walk: fail fast
+        # Opened before the walk, so a bad path fails fast; append mode
+        # leaves an existing file as it was until the command succeeds.
+        target = None if args.output is None else \
+            open(args.output, "a", newline="")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = sys.stdout if target is None else io.StringIO()
     try:
-        return commands[args.command](args, out)
+        code = commands[args.command](args, out)
+        if target is not None and code != 1:
+            target.truncate(0)
+            target.write(out.getvalue())
+        return code
     except (SemigroupError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if out is not sys.stdout:
-            out.close()
+        if target is not None:
+            target.close()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ plain tuples on an explicit stack:
 
 where B is the membership bitmask over [0, 3*g_max + 3] (every bit above F
 is set), eff is the sorted tuple of effective generators, mem the sorted
-tuple of members in (m, cap] used for strength probes, mg the bitmask of
+tuple of members up to the probes' reach (below), mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
 generator.  The walk tallies each node straight into a
@@ -26,7 +26,20 @@ generators are the parent's minus lam, plus m + lam exactly when lam is
 strong (plus 2m + 1 as well in the one case lam == m, which turns an
 ordinary semigroup into the next ordinary semigroup).  Strength of lam is
 the membership probe of ``core._is_strong``, which the walk inlines over
-mem.
+mem: lam is strong unless some member u in (m, (m + lam)/2] has
+m + lam - u in S.
+
+The reach: a child's Frobenius number is the generator removed, and
+F <= 2g - 1 for every semigroup of genus g >= 1, so no edge within depth
+g_max removes more than lam_top = min(2*g_max - 1, lam_max).  Only an
+ordinary node (F < m) has m among its effective generators, so every
+other child keeps m, and so does its whole subtree.  No probe at or below
+a node of multiplicity m thus reads a member past (m + lam_top) // 2.  An
+off-spine node's mem is exactly its members in (m, (m + lam_top) // 2]:
+each spine node cuts its own tuple there once for its non-ordinary
+children, and a child drops lam from mem only when lam lies inside it.
+The root's tuple follows the same rule at m = g_max with no Frobenius
+bound, which covers every spine node with children.
 """
 
 from __future__ import annotations
@@ -143,6 +156,7 @@ def _cells(flat: list[int], width: int) -> Mapping[tuple[int, int], int]:
 # Every counter list of a CensusTable; merging adds them pointwise.
 _COUNTERS = ("n_mg_flat", "t_gh_flat", "s_gh_flat", "f_lt_2m", "f_lt_3m",
              "ns_flat", "wilf_violations")
+_WHOLE = (slice(None),) * len(_COUNTERS)
 
 
 @dataclass
@@ -279,14 +293,37 @@ class CensusTable:
         if ((self.g_max, self.frobenius_cap, self.extras.keys())
                 != (other.g_max, other.frobenius_cap, other.extras.keys())):
             raise ValueError("cannot merge tables from different runs")
-        for name in _COUNTERS:
-            mine = getattr(self, name)
-            mine[:] = map(add, mine, getattr(other, name))
-        self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses,
-                                               other.wilf_witnesses)
-        for name, coll in other.extras.items():
-            self.extras[name] = self.extras[name].merge(coll)
+        self._add_part(_WHOLE, other._part(_WHOLE))
         return self
+
+    def _spans(self, frame: tuple) -> tuple[slice, ...]:
+        # The cells, one slice per counter in _COUNTERS, that the subtree
+        # under ``frame`` can touch: no genus or Frobenius number below
+        # its root's, and the root's multiplicity alone unless the root is
+        # ordinary (F < m).
+        g, m, f = frame[1], frame[2], frame[3]
+        width = self.g_max + 1
+        rows = slice(g * (self.g_max + 3), None)
+        column = slice(m * width + g, (m + 1) * width if f > m else None)
+        return (column, rows, rows, slice(g, None), slice(g, None),
+                slice(max(f, 0), None), slice(g, None))
+
+    def _part(self, spans: tuple[slice, ...]) -> tuple:
+        """The counters' cells within ``spans``, the witnesses and the
+        collectors."""
+        return ([getattr(self, name)[span]
+                 for name, span in zip(_COUNTERS, spans)],
+                self.wilf_witnesses, self.extras)
+
+    def _add_part(self, spans: tuple[slice, ...], part: tuple) -> None:
+        """Add another table's ``_part(spans)`` in place, by offset."""
+        cells, witnesses, extras = part
+        for name, span, values in zip(_COUNTERS, spans, cells):
+            mine = getattr(self, name)
+            mine[span] = map(add, mine[span], values)
+        self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses, witnesses)
+        for name, coll in extras.items():
+            self.extras[name] = self.extras[name].merge(coll)
 
     def merge(self, other: "CensusTable") -> "CensusTable":
         """Pointwise sum of two tables from disjoint subtrees."""
@@ -312,15 +349,23 @@ class CensusTable:
         return [(g, h, c) for (g, h), c in self.t_of_gh.items()]
 
 
-def _member_cap(g_max: int) -> int:
-    # Strength probes never look past (m + lam) / 2 <= (3*g_max + 2) / 2.
-    return (3 * g_max) // 2 + 2
+def _reach(m: int, lam_top: int) -> int:
+    # The largest member a strength probe reads at or below a node of
+    # multiplicity m, when no edge below it removes more than lam_top.
+    return (m + lam_top) >> 1
+
+
+def _lam_top(g_max: int, lam_max: int) -> int:
+    # A child's Frobenius number is the generator removed, and F <= 2g - 1
+    # for genus g >= 1, so no edge within depth g_max removes more.
+    return min(2 * g_max - 1, lam_max)
 
 
 def _root_frame(g_max: int) -> tuple:
+    # Spine nodes have multiplicity m <= g_max when they have children.
     full = (1 << (3 * g_max + 4)) - 1
-    return (full, 0, 1, -1, (1,), tuple(range(2, _member_cap(g_max) + 1)),
-            1 << 1, True)
+    top = _reach(g_max, _lam_top(g_max, 3 * g_max + 3))
+    return (full, 0, 1, -1, (1,), tuple(range(2, top + 1)), 1 << 1, True)
 
 
 def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
@@ -345,7 +390,7 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     ns_cap = table.frobenius_cap
     width = g_max + 1
     hw = g_max + 3
-    cap = _member_cap(g_max)
+    lam_top = _lam_top(g_max, lam_max)
     frontier = []
     stack = [root]
     push = stack.append
@@ -378,6 +423,7 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             continue
         collect = g1 == frontier_depth
         last = g1 == g_max
+        top = (m + lam_top) >> 1       # _reach(m, lam_top), inlined
         for i in range(h):
             lam = eff[i]
             if lam > lam_max:
@@ -390,6 +436,10 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                 child = (B ^ (1 << lam), g1, m + 1, lam,
                          eff[1:] + (m2, m2 + 1), mem[1:],
                          (mg ^ (1 << lam)) | (3 << m2), True)
+                # Its siblings keep multiplicity m, and so do all their
+                # descendants: cut the spine's members (m, ...] to the
+                # reach once for all of them.
+                mem = mem[:top - m]
             else:
                 x = m + lam
                 # core._is_strong, inlined and run over mem: a call per edge
@@ -438,7 +488,7 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                     mgc |= 1 << x
                 if leaf:
                     memc = None
-                elif lam <= cap:
+                elif lam <= top:
                     j = mem.index(lam)
                     memc = mem[:j] + mem[j + 1:]
                 else:
@@ -477,11 +527,13 @@ def _spine_frontier(g_max, lam_max, table, collectors=()):
 
 
 def _subtree_job(payload):
+    # Ships only the cells the subtree can touch; the driver adds them in
+    # by offset with CensusTable._add_part.
     frame, g_max, lam_max, ns_cap, factories = payload
     table = CensusTable.empty(g_max, ns_cap)
     table.extras = {name: make() for name, make in factories}
     _walk(frame, g_max, lam_max, table, list(table.extras.values()))
-    return table
+    return table._part(table._spans(frame))
 
 
 def enumerate_tree(
@@ -533,8 +585,8 @@ def enumerate_tree(
     from multiprocessing import get_context   # slow to import; only used here
     with get_context().Pool(processes=workers) as pool:
         # imap keeps the job order, and merging overlaps the running jobs.
-        for sub in pool.imap(_subtree_job, jobs):
-            table += sub
+        for frame, part in zip(frontier, pool.imap(_subtree_job, jobs)):
+            table._add_part(table._spans(frame), part)
     return table
 
 

@@ -115,6 +115,14 @@ class TestCount:
         assert out == ""
         assert target.read_text() == "genus,count\n0,1\n1,1\n2,2\n"
 
+    def test_output_file_is_replaced(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"old\nbytes" * 9)
+        code, _, _ = run_cli(capsys, "count", "--max-genus", "2",
+                             "--output", str(target))
+        assert code == 0
+        assert target.read_text() == "genus,count\n0,1\n1,1\n2,2\n"
+
     def test_deterministic_across_configs(self, capsys):
         outputs = set()
         for workers in (1, 2, 3):
@@ -422,6 +430,40 @@ class TestUsageErrors:
         # with OverflowError before anything is allocated.
         err = one_line_error(capsys, *command, "--max-genus", "9" * 20)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["count", "--max-genus", "-1"],
+        ["count", "--max-genus", "0", "--by", "frobenius"],
+        ["count", "--max-genus", "3", "--workers", "0"],
+        ["verify", "wilf", "--max-genus", "0"],
+        ["verify", "zhai-lemma", "--workers", "2"],
+        ["inspect", "4", "6"],
+        ["inspect", "0", "3"],
+    ])
+    def test_rejected_input_leaves_output_file(self, capsys, tmp_path,
+                                               command):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"9 bytes\r\n")
+        one_line_error(capsys, *command, "--output", str(target))
+        assert target.read_bytes() == b"9 bytes\r\n"
+
+    @pytest.mark.parametrize("command", [
+        ["count", "--max-genus", "3"],
+        ["verify", "pflueger", "--max-genus", "3"],
+    ], ids=["count", "verify"])
+    def test_unopenable_directory_fails_before_the_walk(
+            self, capsys, monkeypatch, tmp_path, command):
+        from sgforge import cli
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk ran before --output was opened")
+
+        monkeypatch.setattr(cli, "enumerate_tree", no_walk)
+        monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
+                            replace(conjectures.SWEEPS["pflueger"], run=no_walk))
+        err = one_line_error(capsys, *command, "--output", str(tmp_path))
+        assert str(tmp_path) in err
+        assert tmp_path.is_dir()
 
     @pytest.mark.parametrize("command", [
         ["count", "--max-genus", "3"],

@@ -125,6 +125,16 @@ class FrameCheck:
         return self
 
 
+def job_table(frame, g_max, lam_max, ns_cap):
+    """The whole CensusTable of one pool job, from the cells it ships."""
+    from sgforge.tree import CensusTable, _subtree_job
+
+    table = CensusTable.empty(g_max, ns_cap)
+    table._add_part(table._spans(frame),
+                    _subtree_job((frame, g_max, lam_max, ns_cap, ())))
+    return table
+
+
 # -- reference counts --------------------------------------------------------
 
 class TestCounts:
@@ -241,6 +251,60 @@ class TestKunzRebuild:
     @pytest.mark.parametrize("f_max", [1, 3, 8, 14, 17, 29])
     def test_pruned_census(self, kunz_nodes14, f_max, workers):
         walked = sf.enumerate_tree(14, frobenius_max=f_max, workers=workers)
+        rebuilt = kunz_census(kunz_nodes14, 14, f_max)
+        assert rebuilt.counts_equal(walked)
+        assert rebuilt.wilf_witnesses == walked.wilf_witnesses
+
+
+class ReachCheck:
+    """Records, for every off-spine node visited with a member tuple,
+    whether that tuple is the members of S in (m, (m + lam_top) // 2]."""
+
+    lam_top = None      # set on the class before each walk
+
+    def __init__(self):
+        self.checked = 0
+        self.bad = []
+
+    def visit(self, node):
+        mask, g, m, f, _, members, _, _ = node
+        if members is None or f < m:
+            return
+        top = (m + self.lam_top) // 2
+        self.checked += 1
+        if members != tuple(u for u in range(m + 1, top + 1)
+                            if mask >> u & 1):
+            self.bad.append((g, m, f))
+
+    def merge(self, other):
+        self.checked += other.checked
+        self.bad += other.bad
+        return self
+
+
+class TestReach:
+    # No edge within depth g_max removes more than
+    # lam_top = min(2 g_max - 1, Frobenius bound), since a child's Frobenius
+    # number is the removed generator and F <= 2g - 1.  So an off-spine
+    # node's strength probes read no member above (m + lam_top) / 2, and
+    # its member tuple stops there.
+    @pytest.mark.parametrize("f_max", [None, 3, 7, 12, 20, 40])
+    @pytest.mark.parametrize("g_max,workers", [(2, 1), (9, 1), (16, 1),
+                                               (14, 2)])
+    def test_members_stop_at_the_reach(self, monkeypatch, g_max, workers,
+                                       f_max):
+        lam_top = min(2 * g_max - 1, 3 * g_max + 3 if f_max is None else f_max)
+        monkeypatch.setattr(ReachCheck, "lam_top", lam_top)
+        table = sf.enumerate_tree(g_max, frobenius_max=f_max, workers=workers,
+                                  collectors={"reach": ReachCheck})
+        check = table.extras["reach"]
+        assert check.bad == []
+        # At g_max = 2 or F <= 3 every off-spine node is childless.
+        assert check.checked > 0 or g_max == 2 or f_max == 3
+
+    @pytest.mark.parametrize("f_max", [None, 3, 7, 12, 20, 40])
+    def test_trimmed_walk_matches_kunz(self, kunz_nodes14, f_max):
+        walked = sf.enumerate_tree(14, frobenius_max=f_max)
         rebuilt = kunz_census(kunz_nodes14, 14, f_max)
         assert rebuilt.counts_equal(walked)
         assert rebuilt.wilf_witnesses == walked.wilf_witnesses
@@ -401,7 +465,8 @@ class TestNsByFrobenius:
 # -- determinism and merging -------------------------------------------------
 
 class TestDeterminism:
-    @pytest.mark.parametrize("split_depth,workers", [(3, 1), (6, 1), (3, 4), (6, 4)])
+    @pytest.mark.parametrize("split_depth,workers", [(3, 1), (6, 1), (3, 4), (6, 4),
+                                                     (0, 2), (0, 3)])
     def test_split_invariance(self, census16, split_depth, workers):
         other = sf.enumerate_tree(16, split_depth=split_depth, workers=workers)
         assert census16.counts_equal(other)
@@ -454,13 +519,13 @@ class TestDeterminism:
 
     def test_merge_is_commutative_monoid_on_counts(self):
         # Split at depth 2 by hand and recombine in both orders.
-        from sgforge.tree import CensusTable, _root_frame, _subtree_job, _walk
+        from sgforge.tree import CensusTable, _root_frame, _walk
 
         g_max = 9
         prefix = CensusTable.empty(g_max, g_max)
         frontier = _walk(_root_frame(g_max), g_max, 100, prefix,
                          frontier_depth=2)
-        parts = [_subtree_job((f, g_max, 100, g_max, ())) for f in frontier]
+        parts = [job_table(f, g_max, 100, g_max) for f in frontier]
         left = prefix
         for p in parts:
             left = left.merge(p)
@@ -471,7 +536,7 @@ class TestDeterminism:
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
-        from sgforge.tree import CensusTable, _spine_frontier, _subtree_job
+        from sgforge.tree import CensusTable, _spine_frontier
 
         g_max = 18
         lam_max = 3 * g_max + 3
@@ -482,7 +547,7 @@ class TestDeterminism:
         # job roots a subtree of more than one node.
         for g in range(g_max + 1):
             assert spine.n_mg(g + 1, g) == 1
-        sizes = [sum(_subtree_job((f, g_max, lam_max, g_max, ())).n_of_g)
+        sizes = [sum(job_table(f, g_max, lam_max, g_max).n_of_g)
                  for f in jobs]
         total = sum(sf.enumerate_tree(g_max).n_of_g)
         assert sum(spine.n_of_g) + sum(sizes) == total
@@ -505,6 +570,31 @@ class TestDeterminism:
         assert _spine_frontier(g_max, lam_max, rich, [coll]) == jobs
         assert rich.counts_equal(plain)
         assert sum(map(len, coll.by_genus.values())) == sum(plain.n_of_g)
+
+    @pytest.mark.parametrize("g_max,f_max", [(9, None), (14, None),
+                                             (14, 9), (16, 20)])
+    def test_job_ships_every_cell_it_counted(self, g_max, f_max):
+        # A job returns only the cells its subtree can touch (one column,
+        # no genus or Frobenius number below its root's; every column
+        # above an ordinary root).  Added back by offset, they must rebuild
+        # the whole table of the same walk, for spine jobs and for the
+        # ordinary and off-spine roots of a depth-3 cut.
+        from sgforge.tree import (CensusTable, _root_frame, _spine_frontier,
+                                  _walk)
+
+        lam_max = 3 * g_max + 3 if f_max is None else f_max
+        cap = min(g_max, lam_max)
+        cut = _walk(_root_frame(g_max), g_max, lam_max,
+                    CensusTable.empty(g_max, cap), frontier_depth=3)
+        frames = _spine_frontier(g_max, lam_max,
+                                 CensusTable.empty(g_max, cap)) + cut
+        assert any(f[3] < f[2] for f in frames)
+        for frame in frames:
+            whole = CensusTable.empty(g_max, cap)
+            _walk(frame, g_max, lam_max, whole)
+            shipped = job_table(frame, g_max, lam_max, cap)
+            assert shipped.counts_equal(whole), frame[1:4]
+            assert shipped.wilf_witnesses == whole.wilf_witnesses
 
     def test_merge_rejects_tables_of_other_runs(self):
         from sgforge.tree import CensusTable

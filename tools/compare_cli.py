@@ -1,19 +1,22 @@
-"""Run a fixed set of ``sgforge verify`` and ``sgforge inspect`` cases on
-two source trees and report every case whose stdout, stderr or exit code
-differs.
+"""Run a fixed set of ``sgforge verify``, ``inspect`` and ``count`` cases
+on two source trees and report every case whose stdout, stderr or exit
+code differs.
 
     python3 tools/compare_cli.py OLD/src NEW/src
 
 Each case runs ``python -m sgforge.cli`` in a fresh process with
-``PYTHONPATH`` set to one tree.  The 223 cases are every verify name in
+``PYTHONPATH`` set to one tree.  The 309 cases are every verify name in
 csv and json at ``--max-genus`` 2, 3 and 9, with no ``--workers``, with 1
 and with 2; every name at ``--max-genus`` -1, 0 and 1 and with
 ``--workers 0``; the default bound in csv and json for every name but
 ``wilf`` and ``bras-amoros``, whose genus-30 walks take tens of seconds;
-``verify --help``, ``--help``, an unknown name and a bare ``verify``; and
+``verify --help``, ``--help``, an unknown name and a bare ``verify``;
 ``inspect`` on five generator sets from the trivial semigroup to
-<20, 59> (genus 551), a set with gcd 2 and a set holding 0.
-Runs two cases at a time.  Exits 1 if any case differs.  Needs only the
+<20, 59> (genus 551), a set with gcd 2 and a set holding 0; every
+``count --by`` in csv and json at ``--max-genus`` 0, 1, 2, 9 and 16 with
+``--workers`` 1 and 2; and ``count`` with each ``--by`` at
+``--max-genus -1``, with ``--workers 0`` and with a genus too large to
+allocate.  Runs two cases at a time.  Exits 1 if any case differs.  Needs only the
 standard library.
 """
 
@@ -28,6 +31,7 @@ NAMES = ("wilf", "ye", "bras-amoros", "ordinarization", "pflueger",
          "zhai-lemma", "kunz-oracle", "recurrence", "buchweitz")
 SLOW_DEFAULTS = ("wilf", "bras-amoros")
 INSPECT_SETS = ("1", "2 5", "3 5 7", "6 9 20", "20 59", "4 6", "0 3")
+COUNT_BYS = ("genus", "multiplicity", "efficacy", "frobenius")
 
 
 def cases() -> list[list[str]]:
@@ -49,6 +53,15 @@ def cases() -> list[list[str]]:
     out += [["verify", "--help"], ["--help"], ["verify", "nosuch"],
             ["verify"]]
     out += [["inspect", *gens.split()] for gens in INSPECT_SETS]
+    for by in COUNT_BYS:
+        for fmt in ("csv", "json"):
+            for bound in ("0", "1", "2", "9", "16"):
+                for workers in ("1", "2"):
+                    out.append(["count", "--by", by, "--format", fmt,
+                                "--max-genus", bound, "--workers", workers])
+    out += [["count", "--by", by, "--max-genus", "-1"] for by in COUNT_BYS]
+    out += [["count", "--max-genus", "3", "--workers", "0"],
+            ["count", "--max-genus", "9" * 20]]
     return out
 
 
