@@ -248,7 +248,8 @@ class TestKunzRebuild:
         assert rebuilt.wilf_witnesses == census16.wilf_witnesses
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("f_max", [1, 3, 8, 14, 17, 29])
+    @pytest.mark.parametrize("f_max", [1, 3, 8, 14, 17, 29, 7, 12, 20, 40,
+                                       None])
     def test_pruned_census(self, kunz_nodes14, f_max, workers):
         walked = sf.enumerate_tree(14, frobenius_max=f_max, workers=workers)
         rebuilt = kunz_census(kunz_nodes14, 14, f_max)
@@ -301,13 +302,6 @@ class TestReach:
         assert check.bad == []
         # At g_max = 2 or F <= 3 every off-spine node is childless.
         assert check.checked > 0 or g_max == 2 or f_max == 3
-
-    @pytest.mark.parametrize("f_max", [None, 3, 7, 12, 20, 40])
-    def test_trimmed_walk_matches_kunz(self, kunz_nodes14, f_max):
-        walked = sf.enumerate_tree(14, frobenius_max=f_max)
-        rebuilt = kunz_census(kunz_nodes14, 14, f_max)
-        assert rebuilt.counts_equal(walked)
-        assert rebuilt.wilf_witnesses == walked.wilf_witnesses
 
 
 # -- strength bookkeeping ----------------------------------------------------
