@@ -44,7 +44,7 @@ bound, which covers every spine node with children.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from operator import add
 from types import MappingProxyType
@@ -483,8 +483,9 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
                 rest = eff[i + 1:]
                 mgc = mg ^ (1 << lam)
                 if strong:
-                    k = bisect_left(rest, x)
-                    rest = rest[:k] + (x,) + rest[k:]
+                    # Minimal generators never exceed F + m < m + lam = x,
+                    # so x sorts after every effective generator.
+                    rest += (x,)
                     mgc |= 1 << x
                 if leaf:
                     memc = None
