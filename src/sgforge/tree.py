@@ -528,8 +528,8 @@ def _spine_frontier(g_max, lam_max, table, collectors=()):
 
 
 def _subtree_job(payload):
-    # Ships only the cells the subtree can touch; the driver adds them in
-    # by offset with CensusTable._add_part.
+    # Ships only the cells the subtree can touch; the calling process adds
+    # them in by offset with CensusTable._add_part.
     frame, g_max, lam_max, ns_cap, factories = payload
     table = CensusTable.empty(g_max, ns_cap)
     table.extras = {name: make() for name, make in factories}
