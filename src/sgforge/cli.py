@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -144,13 +145,16 @@ def main(argv: list[str] | None = None) -> int:
                 "verify": _cmd_verify}
     try:
         # Opened before the walk, so a bad path fails fast; append mode
-        # leaves an existing file as it was until the command succeeds.
+        # keeps an existing file until the command succeeds, and a file
+        # made here goes again if the command fails.
+        existed = args.output is not None and os.path.lexists(args.output)
         target = None if args.output is None else \
             open(args.output, "a", newline="")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = sys.stdout if target is None else io.StringIO()
+    code = 1
     try:
         code = commands[args.command](args, out)
         if target is not None and code != 1:
@@ -163,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if target is not None:
             target.close()
+            if code == 1 and not existed:
+                os.remove(args.output)
 
 
 if __name__ == "__main__":

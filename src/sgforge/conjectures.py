@@ -434,44 +434,43 @@ def pflueger_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
 # Concentration of F/m and m/g
 
 class ConcentrationCollector:
-    """Per-genus counts of three typicality windows.
-
-    a_band:   (2 - eps) m < F < (2 + eps) m
-    m_band:   (gamma - eps) g < m < (gamma + eps) g, gamma = (5 + sqrt 5)/10
-    two_g_lt_3m: 2g < 3m
-    """
+    """Per-genus count of (2 - eps) m < F < (2 + eps) m."""
 
     def __init__(self, eps: float):
         self.eps = eps
         self.a_band: dict[int, int] = {}
-        self.m_band: dict[int, int] = {}
-        self.two_g_lt_3m: dict[int, int] = {}
 
     def visit(self, node: tuple) -> None:
         _, g, m, f, _, _, _, _ = node
         eps = self.eps
         if (2 - eps) * m < f < (2 + eps) * m:
             self.a_band[g] = self.a_band.get(g, 0) + 1
-        if (GAMMA - eps) * g < m < (GAMMA + eps) * g:
-            self.m_band[g] = self.m_band.get(g, 0) + 1
-        if 2 * g < 3 * m:
-            self.two_g_lt_3m[g] = self.two_g_lt_3m.get(g, 0) + 1
 
     def merge(self, other: "ConcentrationCollector") -> "ConcentrationCollector":
-        for name in ("a_band", "m_band", "two_g_lt_3m"):
-            mine = getattr(self, name)
-            for g, c in getattr(other, name).items():
-                mine[g] = mine.get(g, 0) + c
+        for g, c in other.a_band.items():
+            self.a_band[g] = self.a_band.get(g, 0) + c
         return self
 
 
 def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
     """Per-genus fractions from a run that carried a concentration collector.
 
+    f_over_m: (2 - eps) m < F < (2 + eps) m, from the collector; m_over_g:
+    (gamma - eps) g < m < (gamma + eps) g, gamma = (5 + sqrt 5)/10; and
+    two_g_lt_3m: 2g < 3m.  The last two are sums of N(m, g) cells.
+
     Report-only: the underlying limits are asymptotic, so nothing is
     asserted here beyond normalization.
     """
     coll = table.extras["concentration"]
+    eps = coll.eps
+    m_band: dict[int, int] = {}
+    two_g_lt_3m: dict[int, int] = {}
+    for (m, g), c in table.n_of_mg.items():
+        if (GAMMA - eps) * g < m < (GAMMA + eps) * g:
+            m_band[g] = m_band.get(g, 0) + c
+        if 2 * g < 3 * m:
+            two_g_lt_3m[g] = two_g_lt_3m.get(g, 0) + c
     out = {}
     for g in range(table.g_max + 1):
         n = table.n(g)
@@ -479,8 +478,8 @@ def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
             continue
         out[g] = {
             "f_over_m": coll.a_band.get(g, 0) / n,
-            "m_over_g": coll.m_band.get(g, 0) / n,
-            "two_g_lt_3m": coll.two_g_lt_3m.get(g, 0) / n,
+            "m_over_g": m_band.get(g, 0) / n,
+            "two_g_lt_3m": two_g_lt_3m.get(g, 0) / n,
         }
     return out
 

@@ -15,11 +15,11 @@ is set), eff is the sorted tuple of effective generators, mem the sorted
 tuple of members up to the probes' reach (below), mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
-generator.  The walk tallies each node straight into a
-:class:`CensusTable` and hands the tuple itself to each collector.
-Children with no admissible edge (at depth g_max, or with no effective
-generator within the edge bound) are tallied, and visited with None for
-mem, in the parent's loop; they are never pushed.
+generator.  The walk tallies every node but the root into a
+:class:`CensusTable` through one block in its parent's loop, and hands the
+tuple itself to each collector.  Children with no admissible edge (at
+depth g_max, or with no effective generator within the edge bound), the
+ordinary child too, are visited there, with None for mem, never pushed.
 
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
@@ -51,7 +51,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Protocol
 
 from .core import (GeneratorTag, NumericalSemigroup, Strength, _bits,
-                   _from_gap_mask, _is_strong)
+                   _from_gap_mask)
 from .errors import IncompleteCensus
 
 _WITNESS_CAP = 20
@@ -120,10 +120,7 @@ class TreeFrame:
 
     @property
     def effective(self) -> list[GeneratorTag]:
-        m = self.multiplicity
-        return [GeneratorTag(lam, Strength.STRONG
-                             if _is_strong(self.mask, m, lam) else Strength.WEAK)
-                for lam in self.effective_values]
+        return [t for t in self.semigroup.effective_generators() if t.effective]
 
     @property
     def semigroup(self) -> NumericalSemigroup:
@@ -287,15 +284,6 @@ class CensusTable:
 
     # -- merging -----------------------------------------------------------
 
-    def __iadd__(self, other: "CensusTable") -> "CensusTable":
-        """Add the counts of a table from a disjoint subtree of the same run
-        (same depth bound, Frobenius cap and collector names) in place."""
-        if ((self.g_max, self.frobenius_cap, self.extras.keys())
-                != (other.g_max, other.frobenius_cap, other.extras.keys())):
-            raise ValueError("cannot merge tables from different runs")
-        self._add_part(_WHOLE, other._part(_WHOLE))
-        return self
-
     def _spans(self, frame: tuple) -> tuple[slice, ...]:
         # The cells, one slice per counter in _COUNTERS, that the subtree
         # under ``frame`` can touch: no genus or Frobenius number below
@@ -326,11 +314,15 @@ class CensusTable:
             self.extras[name] = self.extras[name].merge(coll)
 
     def merge(self, other: "CensusTable") -> "CensusTable":
-        """Pointwise sum of two tables from disjoint subtrees."""
+        """Pointwise sum of two tables from disjoint subtrees of the same run
+        (same depth bound, Frobenius cap and collector names)."""
+        if ((self.g_max, self.frobenius_cap, self.extras.keys())
+                != (other.g_max, other.frobenius_cap, other.extras.keys())):
+            raise ValueError("cannot merge tables from different runs")
         total = replace(self, extras=dict(self.extras),
                         **{name: list(getattr(self, name))
                            for name in _COUNTERS})
-        total += other
+        total._add_part(_WHOLE, other._part(_WHOLE))
         return total
 
     def counts_equal(self, other: "CensusTable") -> bool:
@@ -368,16 +360,25 @@ def _root_frame(g_max: int) -> tuple:
     return (full, 0, 1, -1, (1,), tuple(range(2, top + 1)), 1 << 1, True)
 
 
-def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
-    """Tally the subtree under ``root`` into ``table``; return its frontier.
+def _tally_root(table):
+    # The root {0, 1, 2, ...}: g = 0, m = 1, h = 1, strong by convention,
+    # and F = -1 < 2m, with no ns(F) or Wilf test.
+    table.n_mg_flat[table.g_max + 1] += 1
+    table.t_gh_flat[1] += 1
+    table.s_gh_flat[1] += 1
+    table.f_lt_2m[0] += 1
+    table.f_lt_3m[0] += 1
 
-    Every node reachable within depth g_max and edge bound lam_max is
-    tallied exactly once and its tuple handed to each collector, in
-    pre-order.  Children at depth ``frontier_depth`` are returned instead
-    of visited so a driver can hand their subtrees to workers.  Children
-    with no admissible edge (at depth g_max, or with no effective generator
-    <= lam_max), frontier children included, are tallied and visited in
-    the parent's loop and never pushed.
+
+def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
+    """Tally the descendants of ``root`` into ``table``; return its frontier.
+
+    Every node below ``root`` within depth g_max and edge bound lam_max is
+    tallied once, in its parent's loop (the caller tallies ``root``), and
+    handed from ``root`` down to each collector, in pre-order.  Children at
+    depth ``frontier_depth`` are returned instead of visited, for workers.
+    Children with no admissible edge (at depth g_max, or with no effective
+    generator <= lam_max), frontier ones included, are never pushed.
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
@@ -397,30 +398,16 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
     pop = stack.pop
     while stack:
         node = pop()
-        B, g, m, F, eff, mem, mg, s_in = node
-        h = len(eff)
-        e = mg.bit_count()
-        nmg[m * width + g] += 1
-        tgh[g * hw + h] += 1
-        if s_in:
-            sgh[g * hw + h] += 1
-        m2 = m + m
-        if F < m2:
-            f2m[g] += 1
-            f3m[g] += 1
-        elif F < m2 + m:
-            f3m[g] += 1
-        if 0 <= F <= ns_cap:
-            nsf[F] += 1
-        if F >= 0 and F + 1 > (F + 1 - g) * e:
-            wilf_bad[g] += 1
-            _add_witness(wilf_wit, _gaps_of(B, F))
         if collectors:
             for coll in collectors:
                 coll.visit(node)
+        B, g, m, _, eff, mem, mg, _ = node
         g1 = g + 1
         if g1 > g_max:
             continue
+        h = len(eff)
+        e = mg.bit_count()
+        m2 = m + m
         collect = g1 == frontier_depth
         last = g1 == g_max
         top = (m + lam_top) >> 1       # _reach(m, lam_top), inlined
@@ -428,78 +415,82 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             lam = eff[i]
             if lam > lam_max:
                 break
+            x = m + lam
+            # The child keeps eff[i + 1:] and mg but lam, plus x if strong.
+            hc = h - i - 1
+            ec = e - 1
+            strong = True
             if lam == m:
                 # Ordinary node: removing the multiplicity itself yields the
-                # next ordinary semigroup, adding generators 2m and 2m + 1.
-                # There is one per level, so unlike the childless children
-                # below it is never folded into this loop.
-                child = (B ^ (1 << lam), g1, m + 1, lam,
-                         eff[1:] + (m2, m2 + 1), mem[1:],
-                         (mg ^ (1 << lam)) | (3 << m2), True)
-                # Its siblings keep multiplicity m, and so do all their
-                # descendants: cut the spine's members (m, ...] to the
-                # reach once for all of them.
-                mem = mem[:top - m]
+                # next ordinary semigroup, which gains 2m + 1 as well.
+                mc = m + 1
+                hc += 1
+                ec += 1
             else:
-                x = m + lam
+                mc = m
                 # core._is_strong, inlined and run over mem: a call per edge
                 # costs ~6% of the walk, and testing every u in (m, x/2]
                 # against B instead made enumerate_tree(24) 24-40% slower
                 # (2 vCPUs, Python 3.11).
-                strong = True
                 for u in mem:
                     if u + u > x:
                         break
                     if (B >> (x - u)) & 1:
                         strong = False
                         break
-                # A child at depth g_max, or with no effective generator
-                # (eff[i + 1:], plus x when strong) up to lam_max, has no
-                # admissible edge: tally (and visit) it here, never push it.
-                leaf = last or (not (strong and x <= lam_max)
-                                and (i + 1 == h or eff[i + 1] > lam_max))
-                if leaf:
-                    hc = h - i - 1
-                    ec = e - 1
-                    if strong:
-                        hc += 1
-                        ec += 1
-                    nmg[m * width + g1] += 1
-                    tgh[g1 * hw + hc] += 1
-                    if strong:
-                        sgh[g1 * hw + hc] += 1
-                    if lam < m2:
-                        f2m[g1] += 1
-                        f3m[g1] += 1
-                    elif lam < m2 + m:
-                        f3m[g1] += 1
-                    if lam <= ns_cap:
-                        nsf[lam] += 1
-                    if lam + 1 > (lam + 1 - g1) * ec:
-                        wilf_bad[g1] += 1
-                        _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
-                    if not collectors:
-                        continue
-                rest = eff[i + 1:]
-                mgc = mg ^ (1 << lam)
-                if strong:
-                    # Minimal generators never exceed F + m < m + lam = x,
-                    # so x sorts after every effective generator.
-                    rest += (x,)
-                    mgc |= 1 << x
-                if leaf:
-                    memc = None
-                elif lam <= top:
-                    j = mem.index(lam)
-                    memc = mem[:j] + mem[j + 1:]
-                else:
-                    memc = mem
-                child = (B ^ (1 << lam), g1, m, lam, rest, memc, mgc, strong)
-                if leaf:
-                    for coll in collectors:
-                        coll.visit(child)
-                    continue
-            if collect:
+            if strong:
+                hc += 1
+                ec += 1
+            # A child at depth g_max, or with no effective generator
+            # (eff[i + 1:], plus x when strong) up to lam_max, has no
+            # admissible edge: it is visited here and never pushed.
+            leaf = last or (not (strong and x <= lam_max)
+                            and (i + 1 == h or eff[i + 1] > lam_max))
+            # The one tally block, for the child (g1, mc, hc, ec, F = lam);
+            # lam < 2m also holds for the ordinary child, as lam = m.
+            nmg[mc * width + g1] += 1
+            tgh[g1 * hw + hc] += 1
+            if strong:
+                sgh[g1 * hw + hc] += 1
+            if lam < m2:
+                f2m[g1] += 1
+                f3m[g1] += 1
+            elif lam < m2 + m:
+                f3m[g1] += 1
+            if lam <= ns_cap:
+                nsf[lam] += 1
+            if lam + 1 > (lam + 1 - g1) * ec:
+                wilf_bad[g1] += 1
+                _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
+            if leaf and not collectors:
+                continue
+            rest = eff[i + 1:]
+            mgc = mg ^ (1 << lam)
+            if strong:
+                # Minimal generators never exceed F + m < m + lam = x,
+                # so x sorts after every effective generator.
+                rest += (x,)
+                mgc |= 1 << x
+            if lam == m:
+                rest += (x + 1,)
+                mgc |= 2 << x
+                memc = None if leaf else mem[1:]
+                # Its siblings keep multiplicity m, and so do all their
+                # descendants: cut the spine's members (m, ...] to the
+                # reach once for all of them.
+                mem = mem[:top - m]
+            elif leaf:
+                memc = None
+            elif lam <= top:
+                j = mem.index(lam)
+                memc = mem[:j] + mem[j + 1:]
+            else:
+                memc = mem
+            child = (B ^ (1 << lam), g1, mc, lam, rest, memc, mgc, strong)
+            if leaf:
+                for coll in collectors:
+                    coll.visit(child)
+            elif collect:
                 frontier.append(child)
             else:
                 push(child)
@@ -507,14 +498,14 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
 
 
 def _spine_frontier(g_max, lam_max, table, collectors=()):
-    """Tally the ordinary-semigroup spine and return its off-spine children.
+    """Walk the ordinary-semigroup spine and return its off-spine children.
 
     The spine is the chain of ordinary semigroups {0, m, m+1, ...}, each the
     child of the last that removes its multiplicity m.  It holds most of the
-    tree's top, so the calling process walks it; every other child of a spine
-    node roots one job, unless it is childless and so tallied (and visited)
-    here.  Jobs run in (depth, Frobenius number) order, which starts
-    the heavy shallow subtrees first.
+    tree's top, so the calling process walks it and tallies every child of
+    a spine node.  Each off-spine child with children roots one job, which
+    visits its root but does not count it.  Jobs run in (depth, Frobenius
+    number) order, which starts the heavy shallow subtrees first.
     """
     jobs = []
     node = _root_frame(g_max)
@@ -528,8 +519,8 @@ def _spine_frontier(g_max, lam_max, table, collectors=()):
 
 
 def _subtree_job(payload):
-    # Ships only the cells the subtree can touch; the calling process adds
-    # them in by offset with CensusTable._add_part.
+    # Ships only the cells the subtree can touch; the calling process (which
+    # tallied the root) adds them in by offset with CensusTable._add_part.
     frame, g_max, lam_max, ns_cap, factories = payload
     table = CensusTable.empty(g_max, ns_cap)
     table.extras = {name: make() for name, make in factories}
@@ -553,9 +544,10 @@ def enumerate_tree(
     describe that restricted universe.
 
     ``workers`` > 1 runs in parallel: the calling process walks the chain
-    of ordinary semigroups from the root, and each of their other children
-    roots one job on a pool of ``workers`` processes, except the childless
-    ones, which the calling process tallies and visits.
+    of ordinary semigroups from the root and tallies all their children;
+    each other child with children of its own roots one job on a pool of
+    ``workers`` processes, which counts only its root's descendants.  With
+    no job (as for every g_max <= 2) no pool is started.
     Results merge in the fixed job order and witness lists keep the least
     gap tuples, so the table is identical to a sequential run.
     ``split_depth`` shapes nothing: it is range-checked and otherwise
@@ -572,15 +564,18 @@ def enumerate_tree(
         raise ValueError("workers must be >= 1")
     lam_max = frobenius_max if frobenius_max is not None else 3 * g_max + 3
     table = CensusTable.empty(g_max, min(g_max, lam_max))
+    _tally_root(table)
     factories = sorted(collectors.items()) if collectors else []
     table.extras = {name: make() for name, make in factories}
     made = list(table.extras.values())
 
-    if workers == 1 or g_max == 0:
+    if workers == 1:
         _walk(_root_frame(g_max), g_max, lam_max, table, made)
         return table
 
     frontier = _spine_frontier(g_max, lam_max, table, made)
+    if not frontier:
+        return table
     jobs = [(frame, g_max, lam_max, table.frobenius_cap, factories)
             for frame in frontier]
     from multiprocessing import get_context   # slow to import; only used here

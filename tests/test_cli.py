@@ -405,6 +405,18 @@ class TestEntryPoint:
         assert proc.returncode == 1
 
 
+# Inputs each command rejects with exit 1, after --output is opened.
+REJECTED_COMMANDS = [
+    ["count", "--max-genus", "-1"],
+    ["count", "--max-genus", "0", "--by", "frobenius"],
+    ["count", "--max-genus", "3", "--workers", "0"],
+    ["verify", "wilf", "--max-genus", "0"],
+    ["verify", "zhai-lemma", "--workers", "2"],
+    ["inspect", "4", "6"],
+    ["inspect", "0", "3"],
+]
+
+
 class TestUsageErrors:
     # argparse's own errors follow the same contract as every other bad
     # input: exit 1, nothing on stdout, one "error:" line on stderr.
@@ -431,21 +443,20 @@ class TestUsageErrors:
         err = one_line_error(capsys, *command, "--max-genus", "9" * 20)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [
-        ["count", "--max-genus", "-1"],
-        ["count", "--max-genus", "0", "--by", "frobenius"],
-        ["count", "--max-genus", "3", "--workers", "0"],
-        ["verify", "wilf", "--max-genus", "0"],
-        ["verify", "zhai-lemma", "--workers", "2"],
-        ["inspect", "4", "6"],
-        ["inspect", "0", "3"],
-    ])
+    @pytest.mark.parametrize("command", REJECTED_COMMANDS)
     def test_rejected_input_leaves_output_file(self, capsys, tmp_path,
                                                command):
         target = tmp_path / "kept.csv"
         target.write_bytes(b"9 bytes\r\n")
         one_line_error(capsys, *command, "--output", str(target))
         assert target.read_bytes() == b"9 bytes\r\n"
+
+    @pytest.mark.parametrize("command", REJECTED_COMMANDS)
+    def test_rejected_input_creates_no_output_file(self, capsys, tmp_path,
+                                                   command):
+        target = tmp_path / "new.csv"
+        one_line_error(capsys, *command, "--output", str(target))
+        assert not target.exists()
 
     @pytest.mark.parametrize("command", [
         ["count", "--max-genus", "3"],

@@ -256,6 +256,17 @@ class TestKunzRebuild:
         assert rebuilt.counts_equal(walked)
         assert rebuilt.wilf_witnesses == walked.wilf_witnesses
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("g_max", [1, 2, 3])
+    def test_shallow_census(self, kunz_nodes14, g_max, workers):
+        # The root is tallied outside the walk, and at these depths the
+        # ordinary child at the depth bound is folded into its parent's
+        # loop like its siblings; no pool job runs.
+        walked = sf.enumerate_tree(g_max, workers=workers)
+        rebuilt = kunz_census(kunz_nodes14, g_max)
+        assert rebuilt.counts_equal(walked)
+        assert rebuilt.wilf_witnesses == walked.wilf_witnesses
+
 
 class ReachCheck:
     """Records, for every off-spine node visited with a member tuple,
@@ -512,11 +523,14 @@ class TestDeterminism:
         assert par.extras["gapsets"].by_genus == seq.extras["gapsets"].by_genus
 
     def test_merge_is_commutative_monoid_on_counts(self):
-        # Split at depth 2 by hand and recombine in both orders.
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        # Split at depth 2 by hand and recombine in both orders.  The
+        # prefix walk tallies the frontier nodes in their parents' loops,
+        # and each job only their descendants; the root is tallied apart.
+        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
 
         g_max = 9
         prefix = CensusTable.empty(g_max, g_max)
+        _tally_root(prefix)
         frontier = _walk(_root_frame(g_max), g_max, 100, prefix,
                          frontier_depth=2)
         parts = [job_table(f, g_max, 100, g_max) for f in frontier]
@@ -530,21 +544,24 @@ class TestDeterminism:
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
-        from sgforge.tree import CensusTable, _spine_frontier
+        from sgforge.tree import CensusTable, _spine_frontier, _tally_root
 
         g_max = 18
         lam_max = 3 * g_max + 3
         spine = CensusTable.empty(g_max, g_max)
+        _tally_root(spine)
         jobs = _spine_frontier(g_max, lam_max, spine)
-        # The calling process tallies the ordinary semigroups (genus g,
-        # multiplicity g + 1) and the childless off-spine children; every
-        # job roots a subtree of more than one node.
+        # The calling process tallies the root, the ordinary semigroups
+        # (genus g, multiplicity g + 1) and every other child of a spine
+        # node, job roots included; a job counts its root's descendants.
+        # Every job roots a subtree of more than one node.
         for g in range(g_max + 1):
             assert spine.n_mg(g + 1, g) == 1
-        sizes = [sum(job_table(f, g_max, lam_max, g_max).n_of_g)
+        below = [sum(job_table(f, g_max, lam_max, g_max).n_of_g)
                  for f in jobs]
+        sizes = [1 + n for n in below]
         total = sum(sf.enumerate_tree(g_max).n_of_g)
-        assert sum(spine.n_of_g) + sum(sizes) == total
+        assert sum(spine.n_of_g) + sum(below) == total
         assert max(sizes) <= total / 8
         assert min(sizes) > 1
 
@@ -552,7 +569,9 @@ class TestDeterminism:
                                              (14, 14), (20, 9)])
     def test_spine_frontier_ignores_collectors(self, g_max, f_max):
         # Collector walks fold childless children too, so they ship the
-        # same jobs as count-only walks and tally the same spine.
+        # same jobs as count-only walks and tally the same spine.  The
+        # spine walk visits the root, which the caller tallies, and tallies
+        # each job root, which its job visits.
         from sgforge.tree import CensusTable, _spine_frontier
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
@@ -563,7 +582,8 @@ class TestDeterminism:
         assert jobs
         assert _spine_frontier(g_max, lam_max, rich, [coll]) == jobs
         assert rich.counts_equal(plain)
-        assert sum(map(len, coll.by_genus.values())) == sum(plain.n_of_g)
+        visited = sum(map(len, coll.by_genus.values()))
+        assert visited - 1 + len(jobs) == sum(plain.n_of_g)
 
     @pytest.mark.parametrize("g_max,f_max", [(9, None), (14, None),
                                              (14, 9), (16, 20)])
@@ -589,6 +609,19 @@ class TestDeterminism:
             shipped = job_table(frame, g_max, lam_max, cap)
             assert shipped.counts_equal(whole), frame[1:4]
             assert shipped.wilf_witnesses == whole.wilf_witnesses
+
+    @pytest.mark.parametrize("g_max", [0, 1, 2])
+    def test_no_pool_without_jobs(self, monkeypatch, g_max):
+        # Up to genus 2 every off-spine child of the spine is childless, so
+        # the spine leaves no job and no pool may start.
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started with no job to run")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        table = sf.enumerate_tree(g_max, workers=2)
+        assert table.counts_equal(sf.enumerate_tree(g_max))
 
     def test_merge_rejects_tables_of_other_runs(self):
         from sgforge.tree import CensusTable
