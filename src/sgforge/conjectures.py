@@ -113,8 +113,11 @@ def ye_identity(g: int, census: CensusTable) -> YeCheck:
         raise ValueError("g must be nonnegative")
     if census.g_max < g + 2:
         raise IncompleteCensus(f"need genus {g + 2}, table stops at {census.g_max}")
+    # A genus-g node has at most g + 1 effective generators.
+    correction = sum(census.t_gh(g, h) * ((h - 1) * (h - 2) >> 1)
+                     for h in range(g + 2))
     lhs = census.n(g + 2)
-    rhs = census.n(g + 1) - census.n(g) + census.s(g + 1) + 1 + census.ye_correction[g]
+    rhs = census.n(g + 1) - census.n(g) + census.s(g + 1) + 1 + correction
     return YeCheck(lhs == rhs, lhs, rhs)
 
 
@@ -466,7 +469,7 @@ def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
     eps = coll.eps
     m_band: dict[int, int] = {}
     two_g_lt_3m: dict[int, int] = {}
-    for (m, g), c in table.n_of_mg.items():
+    for m, g, c in table.rows_by_multiplicity():
         if (GAMMA - eps) * g < m < (GAMMA + eps) * g:
             m_band[g] = m_band.get(g, 0) + c
         if 2 * g < 3 * m:
@@ -507,11 +510,11 @@ def ns_parity_rows(counts: dict[int, int]) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # Growth ratios and monotonicity
 
-def ratio_report(census: CensusTable, *, m_max: int = 9) -> VerificationReport:
+def ratio_report(census: CensusTable) -> VerificationReport:
     """Fibonacci-style ratios of the genus census, plus monotonicity checks.
 
     Asserts N(g) >= N(g-1) + N(g-2) and N(g) >= N(g-1) on the covered
-    range, and N(m, g) <= N(m, g+1) column by column for m <= m_max.
+    range, and N(m, g) <= N(m, g+1) column by column for m <= 9.
     Emits (g, (N(g-1)+N(g-2))/N(g), N(g)/N(g-1)) rows for plotting.  The
     first checked genus is 2, so a census with g_max < 2 is rejected.
     """
@@ -528,13 +531,13 @@ def ratio_report(census: CensusTable, *, m_max: int = 9) -> VerificationReport:
             violations.append({"g": g, "issue": "N(g) < N(g-1) + N(g-2)"})
         if n < n1:
             violations.append({"g": g, "issue": "N(g) < N(g-1)"})
-    for m in range(2, m_max + 1):
+    for m in range(2, 10):
         for g in range(1, g_max):
             if census.n_mg(m, g) > census.n_mg(m, g + 1):
                 violations.append({"m": m, "g": g,
                                    "issue": "N(m, g) > N(m, g+1)"})
     return VerificationReport(
-        "bras-amoros", {"g_max": g_max, "m_max": m_max}, violations,
+        "bras-amoros", {"g_max": g_max, "m_max": 9}, violations,
         {"rows": rows},
     )
 
@@ -542,18 +545,16 @@ def ratio_report(census: CensusTable, *, m_max: int = 9) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Oracle agreement sweeps
 
-def kunz_oracle_sweep(g_max: int, m_max: int = 9, *,
-                      census: CensusTable | None = None,
-                      formula_g_max: int = 30) -> VerificationReport:
-    """Tree counts against polytope counts, plus the exact m = 3 formula."""
-    if g_max < 1 or m_max < 2:
-        raise ValueError("g_max must be >= 1 and m_max >= 2; smaller bounds "
-                         "leave no (m, g) cell to check")
-    if census is None or census.g_max < g_max:
-        census = enumerate_tree(g_max)
+def kunz_oracle_sweep(g_max: int) -> VerificationReport:
+    """Tree counts against polytope counts for m <= 9, plus the exact m = 3
+    formula for g <= 30."""
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "(m, g) cell to check")
+    census = enumerate_tree(g_max)
     violations = []
     rows = []
-    for m in range(2, m_max + 1):
+    for m in range(2, 10):
         for g in range(1, g_max + 1):
             poly = count_by_polytope(m, g)
             tree_count = census.n_mg(m, g)
@@ -563,31 +564,28 @@ def kunz_oracle_sweep(g_max: int, m_max: int = 9, *,
                                    "tree": tree_count})
     # The ceiling formula starts at g = 2: multiplicity 3 forces genus >= 2,
     # so N(3, 1) = 0 while the formula would give 1.
-    for g in range(2, formula_g_max + 1):
+    for g in range(2, 31):
         expected = (g + 3) // 3      # ceil((g + 1) / 3)
         if count_by_polytope(3, g) != expected:
             violations.append({"m": 3, "g": g, "issue": "ceiling formula",
                                "expected": expected})
     return VerificationReport(
-        "kunz-oracle", {"g_max": g_max, "m_max": m_max,
-                        "formula_g_max": formula_g_max},
+        "kunz-oracle", {"g_max": g_max, "m_max": 9, "formula_g_max": 30},
         violations, {"cells": len(rows), "rows": rows},
     )
 
 
-def recurrence_sweep(g_max: int, bijection_g_max: int, *,
-                     census: CensusTable | None = None) -> VerificationReport:
+def recurrence_sweep(g_max: int) -> VerificationReport:
     """The 2g < 3m truncation recurrence, by counts and by explicit bijection.
 
     Counts: N(m-1, g-1) + N(m-1, g-2) = N(m, g) for every cell with
     2g < 3m, 1 <= g <= g_max, 2 <= m <= g + 1.  Bijection: the truncation
-    map itself is checked for g <= bijection_g_max.
+    map itself is checked for g <= 15, where it stays cheap.
     """
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "(m, g) cell to check")
-    if census is None or census.g_max < g_max:
-        census = enumerate_tree(g_max)
+    census = enumerate_tree(g_max)
     violations = []
     cells = 0
     for g in range(1, g_max + 1):
@@ -601,12 +599,12 @@ def recurrence_sweep(g_max: int, bijection_g_max: int, *,
             if lhs != census.n_mg(m, g):
                 violations.append({"m": m, "g": g, "lhs": lhs,
                                    "rhs": census.n_mg(m, g)})
-            if m >= 3 and 1 <= g <= bijection_g_max:
+            if m >= 3 and g <= 15:
                 ok, wit = recurrence_bijection_check(m, g)
                 if not ok:
                     violations.extend(wit)
     return VerificationReport(
-        "recurrence", {"g_max": g_max, "bijection_g_max": bijection_g_max},
+        "recurrence", {"g_max": g_max, "bijection_g_max": min(g_max, 15)},
         violations, {"cells": cells},
     )
 
@@ -675,7 +673,7 @@ SWEEPS: dict[str, Sweep] = {
     "zhai-lemma": Sweep(lambda b, _w: zhai_sweep(b), 20, False),
     "kunz-oracle": Sweep(lambda b, _w: kunz_oracle_sweep(b), 15, False,
                          ("m", "g", "count_polytope", "count_tree", "match")),
-    "recurrence": Sweep(lambda b, _w: recurrence_sweep(b, min(b, 15)), 18, False),
+    "recurrence": Sweep(lambda b, _w: recurrence_sweep(b), 18, False),
     "buchweitz": Sweep(lambda b, w: buchweitz_sweep(b, workers=w), 16, True,
                        ("g", "failures", "total"), _buchweitz_rows),
 }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyGenerators, GcdNotOne, NotAMember, NotEffective
 
@@ -32,8 +32,7 @@ class Strength(Enum):
     NOT_EFFECTIVE = "not-effective"
 
 
-@dataclass(frozen=True)
-class GeneratorTag:
+class GeneratorTag(NamedTuple):
     """A minimal generator together with its descent classification.
 
     ``strength`` is STRONG or WEAK for an effective generator, one above the

@@ -47,7 +47,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from operator import add
-from types import MappingProxyType
 from typing import Callable, Mapping, Protocol
 
 from .core import (GeneratorTag, NumericalSemigroup, Strength, _bits,
@@ -144,12 +143,6 @@ class Collector(Protocol):
     def merge(self, other: "Collector") -> "Collector": ...
 
 
-def _cells(flat: list[int], width: int) -> Mapping[tuple[int, int], int]:
-    # Nonzero cells of a row-major table, keyed (row, column) in sorted order.
-    return MappingProxyType({divmod(i, width): c
-                             for i, c in enumerate(flat) if c})
-
-
 # Every counter list of a CensusTable; merging adds them pointwise.
 _COUNTERS = ("n_mg_flat", "t_gh_flat", "s_gh_flat", "f_lt_2m", "f_lt_3m",
              "ns_flat", "wilf_violations")
@@ -168,10 +161,9 @@ class CensusTable:
     The walk adds into flat lists: N(m, g) at ``n_mg_flat[m * (g_max + 1)
     + g]``, t(g, h) and its strongly descended part s(g, h) at
     ``t_gh_flat`` / ``s_gh_flat[g * (g_max + 3) + h]``, and ns(F) at
-    ``ns_flat[F]``.  ``n_of_mg``, ``t_of_gh`` and ``s_of_gh`` are read-only
-    dict views of their nonzero cells.  The per-genus lists ``n_of_g``,
-    ``strongly_descended`` and ``ye_correction`` are derived from the
-    (g, h) rows on each read.
+    ``ns_flat[F]``.  Read them through ``n``, ``n_mg``, ``t_gh``, ``s_gh``,
+    ``t``, ``s`` and ``ns``, the list ``n_of_g``, or the ``rows_by_*``
+    tables of nonzero cells.
 
     In a genus-bounded run ``ns()`` is exact for every F <= g_max, since
     a semigroup's genus never exceeds its Frobenius number.
@@ -208,31 +200,6 @@ class CensusTable:
     @property
     def n_of_g(self) -> list[int]:
         return [self.n(g) for g in range(self.g_max + 1)]
-
-    @property
-    def strongly_descended(self) -> list[int]:
-        return [self.s(g) for g in range(self.g_max + 1)]
-
-    @property
-    def ye_correction(self) -> list[int]:
-        """Sum of (h - 1)(h - 2) / 2 over the genus-g nodes, the correction
-        term of the exact second-order census identity.  The quadratic is
-        evaluated as a polynomial, so a childless node contributes 1."""
-        return [sum(c * ((h - 1) * (h - 2) >> 1)
-                    for h, c in enumerate(self._row(self.t_gh_flat, g)))
-                for g in range(self.g_max + 1)]
-
-    @property
-    def n_of_mg(self) -> Mapping[tuple[int, int], int]:
-        return _cells(self.n_mg_flat, self.g_max + 1)
-
-    @property
-    def t_of_gh(self) -> Mapping[tuple[int, int], int]:
-        return _cells(self.t_gh_flat, self.g_max + 3)
-
-    @property
-    def s_of_gh(self) -> Mapping[tuple[int, int], int]:
-        return _cells(self.s_gh_flat, self.g_max + 3)
 
     def n(self, g: int) -> int:
         self._require(g)
@@ -286,15 +253,15 @@ class CensusTable:
 
     def _spans(self, frame: tuple) -> tuple[slice, ...]:
         # The cells, one slice per counter in _COUNTERS, that the subtree
-        # under ``frame`` can touch: no genus or Frobenius number below
-        # its root's, and the root's multiplicity alone unless the root is
-        # ordinary (F < m).
-        g, m, f = frame[1], frame[2], frame[3]
+        # under ``frame`` counts: its root is counted by the caller, so no
+        # genus or Frobenius number up to its root's, and the root's
+        # multiplicity alone unless the root is ordinary (F < m).
+        g1, m, f = frame[1] + 1, frame[2], frame[3]
         width = self.g_max + 1
-        rows = slice(g * (self.g_max + 3), None)
-        column = slice(m * width + g, (m + 1) * width if f > m else None)
-        return (column, rows, rows, slice(g, None), slice(g, None),
-                slice(max(f, 0), None), slice(g, None))
+        rows = slice(g1 * (self.g_max + 3), None)
+        column = slice(m * width + g1, (m + 1) * width if f > m else None)
+        return (column, rows, rows, slice(g1, None), slice(g1, None),
+                slice(f + 1, None), slice(g1, None))
 
     def _part(self, spans: tuple[slice, ...]) -> tuple:
         """The counters' cells within ``spans``, the witnesses and the
@@ -335,10 +302,13 @@ class CensusTable:
         return list(enumerate(self.n_of_g))
 
     def rows_by_multiplicity(self) -> list[tuple[int, int, int]]:
-        return [(m, g, c) for (m, g), c in self.n_of_mg.items()]
+        width = self.g_max + 1
+        return [(*divmod(i, width), c)
+                for i, c in enumerate(self.n_mg_flat) if c]
 
     def rows_by_efficacy(self) -> list[tuple[int, int, int]]:
-        return [(g, h, c) for (g, h), c in self.t_of_gh.items()]
+        hw = self.g_max + 3
+        return [(*divmod(i, hw), c) for i, c in enumerate(self.t_gh_flat) if c]
 
 
 def _reach(m: int, lam_top: int) -> int:
@@ -600,17 +570,15 @@ def ns_by_frobenius(f_max: int, *, workers: int = 1) -> dict[int, int]:
     return {f: table.ns(f) for f in range(1, f_max + 1)}
 
 
-def descent_strength(parent, lam: int) -> Strength:
+def descent_strength(parent: NumericalSemigroup, lam: int) -> Strength:
     """Classify the descent that removes ``lam`` from ``parent``.
 
-    ``parent`` may be a :class:`NumericalSemigroup` or a :class:`TreeFrame`.
     Computed from first principles (build the child, test whether m + lam
     is one of its minimal generators), independently of the walk's inline
     probes.
     """
-    sg = parent.semigroup if isinstance(parent, TreeFrame) else parent
-    child = sg.remove_generator(lam)
-    strong = (sg.multiplicity + lam) in child.min_generators
+    child = parent.remove_generator(lam)
+    strong = (parent.multiplicity + lam) in child.min_generators
     return Strength.STRONG if strong else Strength.WEAK
 
 
@@ -621,22 +589,18 @@ class StrongCensus:
     r: dict[int, int]
 
 
-def strongly_descended_census(table: CensusTable,
-                              g_upto: int | None = None) -> StrongCensus:
+def strongly_descended_census(table: CensusTable) -> StrongCensus:
     """Strong-descent counts S(g), s(g, h), and r(n) = s(2n + 1, n + 1).
 
     The root counts as strongly descended.  r(-1) = r(0) = 1 by convention;
     r(n) is reported for every n with 2n + 1 <= the table depth.
     """
-    if g_upto is None:
-        g_upto = table.g_max
-    if g_upto > table.g_max:
-        raise IncompleteCensus(f"table stops at genus {table.g_max}")
-    by_genus = tuple(table.strongly_descended[: g_upto + 1])
-    by_gh = {(g, h): c for (g, h), c in table.s_of_gh.items() if g <= g_upto}
+    genera = range(table.g_max + 1)
+    by_genus = tuple(table.s(g) for g in genera)
+    # A genus-g node has at most g + 1 effective generators.
+    by_gh = {(g, h): c for g in genera for h in range(g + 2)
+             if (c := table.s_gh(g, h))}
     r = {-1: 1, 0: 1}
-    n = 1
-    while 2 * n + 1 <= g_upto:
-        r[n] = by_gh.get((2 * n + 1, n + 1), 0)
-        n += 1
+    r.update((n, table.s_gh(2 * n + 1, n + 1))
+             for n in range(1, (table.g_max + 1) // 2))
     return StrongCensus(by_genus, by_gh, r)

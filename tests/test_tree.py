@@ -168,12 +168,22 @@ class TestCounts:
 
     def test_level_marginals_agree(self, census16):
         for g in range(17):
-            assert census16.n(g) == sum(
-                c for (m, gg), c in census16.n_of_mg.items() if gg == g
-            )
-            assert census16.n(g) == sum(
-                c for (gg, h), c in census16.t_of_gh.items() if gg == g
-            )
+            assert census16.n(g) == sum(census16.n_mg(m, g) for m in range(18))
+            assert census16.n(g) == sum(census16.t_gh(g, h) for h in range(19))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("g_max", [0, 1, 15, 16])
+    def test_rows_match_accessors(self, g_max, workers):
+        # The row tables list every nonzero cell, row-major, as the
+        # accessors read it.
+        table = sf.enumerate_tree(g_max, workers=workers)
+        genera = range(g_max + 1)
+        assert table.rows_by_multiplicity() == [
+            (m, g, c) for m in range(g_max + 2) for g in genera
+            if (c := table.n_mg(m, g))]
+        assert table.rows_by_efficacy() == [
+            (g, h, c) for g in genera for h in range(g_max + 3)
+            if (c := table.t_gh(g, h))]
 
     def test_oracle_equivalence_small(self):
         table = sf.enumerate_tree(9, collectors={"gapsets": GapSetCollector})
@@ -327,13 +337,18 @@ class TestStrength:
         assert sc.r[-1] == 1 and sc.r[0] == 1
 
     def test_s_gh_bounded_by_ordinary_efficacy(self, census16):
-        for (g, h), c in census16.s_of_gh.items():
-            if h > g + 1:
-                assert c == 0
+        for g in range(17):
+            for h in range(g + 2, 19):
+                assert census16.s_gh(g, h) == 0
 
-    def test_incomplete_table_error(self, census16):
-        with pytest.raises(IncompleteCensus):
-            sf.strongly_descended_census(census16, g_upto=40)
+    @pytest.mark.parametrize("g_max", [15, 16])
+    def test_r_reads_s_gh(self, g_max):
+        table = sf.enumerate_tree(g_max)
+        r = sf.strongly_descended_census(table).r
+        # r(n) for every n with 2n + 1 <= g_max, past the two conventions.
+        assert sorted(r) == list(range(-1, (g_max - 1) // 2 + 1))
+        for n in range(1, (g_max - 1) // 2 + 1):
+            assert r[n] == table.s_gh(2 * n + 1, n + 1)
 
     def test_descent_strength_examples(self):
         two_three = sf.from_generators({2, 3})
