@@ -40,6 +40,9 @@ each spine node cuts its own tuple there once for its non-ordinary
 children, and a child drops lam from mem only when lam lies inside it.
 The root's tuple follows the same rule at m = g_max with no Frobenius
 bound, which covers every spine node with children.
+
+The parallel driver cuts the tree at the spine, the chain of ordinary
+semigroups {0, m, m+1, ...}: a walk in spine mode returns the job roots.
 """
 
 from __future__ import annotations
@@ -253,13 +256,13 @@ class CensusTable:
 
     def _spans(self, frame: tuple) -> tuple[slice, ...]:
         # The cells, one slice per counter in _COUNTERS, that the subtree
-        # under ``frame`` counts: its root is counted by the caller, so no
-        # genus or Frobenius number up to its root's, and the root's
-        # multiplicity alone unless the root is ordinary (F < m).
+        # under the job root ``frame`` counts: its root is counted by the
+        # caller, so no genus or Frobenius number up to its root's, and,
+        # as no job root is ordinary, its root's multiplicity alone.
         g1, m, f = frame[1] + 1, frame[2], frame[3]
         width = self.g_max + 1
         rows = slice(g1 * (self.g_max + 3), None)
-        column = slice(m * width + g1, (m + 1) * width if f > m else None)
+        column = slice(m * width + g1, (m + 1) * width)
         return (column, rows, rows, slice(g1, None), slice(g1, None),
                 slice(f + 1, None), slice(g1, None))
 
@@ -340,15 +343,18 @@ def _tally_root(table):
     table.f_lt_3m[0] += 1
 
 
-def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
-    """Tally the descendants of ``root`` into ``table``; return its frontier.
+def _walk(root, g_max, lam_max, table, collectors=(), spine=False):
+    """Tally the descendants of ``root`` into ``table``.
 
     Every node below ``root`` within depth g_max and edge bound lam_max is
     tallied once, in its parent's loop (the caller tallies ``root``), and
-    handed from ``root`` down to each collector, in pre-order.  Children at
-    depth ``frontier_depth`` are returned instead of visited, for workers.
-    Children with no admissible edge (at depth g_max, or with no effective
-    generator <= lam_max), frontier ones included, are never pushed.
+    handed from ``root`` down to each collector, in pre-order.  Children
+    with no admissible edge (at depth g_max, or with no effective generator
+    <= lam_max) are visited there and never pushed.
+
+    With ``spine`` set, it descends only along ordinary children (lam ==
+    m) and returns, unvisited, every other child with an admissible edge,
+    in (depth, Frobenius number) order; otherwise it returns [].
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
@@ -378,7 +384,6 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
         h = len(eff)
         e = mg.bit_count()
         m2 = m + m
-        collect = g1 == frontier_depth
         last = g1 == g_max
         top = (m + lam_top) >> 1       # _reach(m, lam_top), inlined
         for i in range(h):
@@ -460,7 +465,7 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
             if leaf:
                 for coll in collectors:
                     coll.visit(child)
-            elif collect:
+            elif spine and lam != m:
                 frontier.append(child)
             else:
                 push(child)
@@ -468,24 +473,15 @@ def _walk(root, g_max, lam_max, table, collectors=(), frontier_depth=-1):
 
 
 def _spine_frontier(g_max, lam_max, table, collectors=()):
-    """Walk the ordinary-semigroup spine and return its off-spine children.
+    """Tally the spine and every child of a spine node; return the job
+    roots, the off-spine children with children of their own.
 
-    The spine is the chain of ordinary semigroups {0, m, m+1, ...}, each the
-    child of the last that removes its multiplicity m.  It holds most of the
-    tree's top, so the calling process walks it and tallies every child of
-    a spine node.  Each off-spine child with children roots one job, which
-    visits its root but does not count it.  Jobs run in (depth, Frobenius
-    number) order, which starts the heavy shallow subtrees first.
+    Each removes some lam in (m, 2m) from a spine node {0, m, m+1, ...},
+    so its Frobenius number lam exceeds its multiplicity m: no job root is
+    ordinary.  A job visits its root but does not count it.
     """
-    jobs = []
-    node = _root_frame(g_max)
-    while node is not None:
-        children = _walk(node, g_max, lam_max, table, collectors, node[1] + 1)
-        m = node[2]
-        node = next((c for c in children if c[3] == m), None)
-        jobs.extend(c for c in children if c[3] != m)
-    jobs.sort(key=lambda frame: (frame[1], frame[3]))
-    return jobs
+    return _walk(_root_frame(g_max), g_max, lam_max, table, collectors,
+                 spine=True)
 
 
 def _subtree_job(payload):
@@ -515,11 +511,12 @@ def enumerate_tree(
 
     ``workers`` > 1 runs in parallel: the calling process walks the chain
     of ordinary semigroups from the root and tallies all their children;
-    each other child with children of its own roots one job on a pool of
-    ``workers`` processes, which counts only its root's descendants.  With
-    no job (as for every g_max <= 2) no pool is started.
-    Results merge in the fixed job order and witness lists keep the least
-    gap tuples, so the table is identical to a sequential run.
+    each other child with children of its own roots one job, which counts
+    only its root's descendants.  Jobs run in the order the spine walk
+    yields them, on a pool of ``workers`` processes or one per job if
+    there are fewer jobs; with no job (as for every g_max <= 2) no pool is
+    started.  Results merge in that fixed job order and witness lists keep
+    the least gap tuples, so the table is identical to a sequential run.
     ``split_depth`` shapes nothing: it is range-checked and otherwise
     ignored, and stays only while the benchmark and acceptance criterion 3
     still pass it.  ``collectors`` maps names to zero-argument factories
@@ -549,7 +546,7 @@ def enumerate_tree(
     jobs = [(frame, g_max, lam_max, table.frobenius_cap, factories)
             for frame in frontier]
     from multiprocessing import get_context   # slow to import; only used here
-    with get_context().Pool(processes=workers) as pool:
+    with get_context().Pool(processes=min(workers, len(jobs))) as pool:
         # imap keeps the job order, and merging overlaps the running jobs.
         for frame, part in zip(frontier, pool.imap(_subtree_job, jobs)):
             table._add_part(table._spans(frame), part)

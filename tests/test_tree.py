@@ -538,16 +538,15 @@ class TestDeterminism:
         assert par.extras["gapsets"].by_genus == seq.extras["gapsets"].by_genus
 
     def test_merge_is_commutative_monoid_on_counts(self):
-        # Split at depth 2 by hand and recombine in both orders.  The
-        # prefix walk tallies the frontier nodes in their parents' loops,
-        # and each job only their descendants; the root is tallied apart.
-        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
+        # Split at the spine by hand and recombine in both orders.  The
+        # spine walk tallies the job roots in their parents' loops, and
+        # each job only their descendants; the root is tallied apart.
+        from sgforge.tree import CensusTable, _spine_frontier, _tally_root
 
         g_max = 9
         prefix = CensusTable.empty(g_max, g_max)
         _tally_root(prefix)
-        frontier = _walk(_root_frame(g_max), g_max, 100, prefix,
-                         frontier_depth=2)
+        frontier = _spine_frontier(g_max, 100, prefix)
         parts = [job_table(f, g_max, 100, g_max) for f in frontier]
         left = prefix
         for p in parts:
@@ -603,27 +602,86 @@ class TestDeterminism:
     @pytest.mark.parametrize("g_max,f_max", [(9, None), (14, None),
                                              (14, 9), (16, 20)])
     def test_job_ships_every_cell_it_counted(self, g_max, f_max):
-        # A job returns only the cells its subtree can touch (one column,
-        # no genus or Frobenius number below its root's; every column
-        # above an ordinary root).  Added back by offset, they must rebuild
-        # the whole table of the same walk, for spine jobs and for the
-        # ordinary and off-spine roots of a depth-3 cut.
-        from sgforge.tree import (CensusTable, _root_frame, _spine_frontier,
-                                  _walk)
+        # A job returns only the cells its subtree can touch (its root's
+        # column, no genus or Frobenius number up to its root's).  Added
+        # back by offset, they must rebuild the whole table of the same
+        # walk, for every spine job.
+        from sgforge.tree import CensusTable, _spine_frontier, _walk
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         cap = min(g_max, lam_max)
-        cut = _walk(_root_frame(g_max), g_max, lam_max,
-                    CensusTable.empty(g_max, cap), frontier_depth=3)
-        frames = _spine_frontier(g_max, lam_max,
-                                 CensusTable.empty(g_max, cap)) + cut
-        assert any(f[3] < f[2] for f in frames)
+        frames = _spine_frontier(g_max, lam_max, CensusTable.empty(g_max, cap))
+        assert frames
         for frame in frames:
             whole = CensusTable.empty(g_max, cap)
             _walk(frame, g_max, lam_max, whole)
             shipped = job_table(frame, g_max, lam_max, cap)
             assert shipped.counts_equal(whole), frame[1:4]
             assert shipped.wilf_witnesses == whole.wilf_witnesses
+
+    @pytest.mark.parametrize("lam_max", ["3g+3", 9, 20])
+    @pytest.mark.parametrize("g_max", [*range(15), 24])
+    def test_spine_frames_from_first_principles(self, g_max, lam_max):
+        # The job roots are the children of the ordinary semigroups of genus
+        # g < g_max, other than the next ordinary one, that have an
+        # admissible edge; built here with core, in (depth, F) order.  The
+        # spine walk must yield exactly those, in that order, and each
+        # removes lam in (m, 2m), so no job root is ordinary (F > m).
+        from sgforge.tree import CensusTable, _spine_frontier
+
+        lam_max = 3 * g_max + 3 if lam_max == "3g+3" else lam_max
+        expected = []
+        for g in range(1, g_max - 1):
+            spine = sf.ordinary(g)
+            for lam in spine.min_generators[1:]:
+                if lam > lam_max:
+                    break
+                child = spine.remove_generator(lam)
+                if any(t.effective and t.value <= lam_max
+                       for t in child.effective_generators()):
+                    expected.append((child.genus, child.multiplicity,
+                                     child.frobenius, child.gaps()))
+        frames = _spine_frontier(g_max, lam_max,
+                                 CensusTable.empty(g_max, min(g_max, lam_max)))
+        got = [(f[1], f[2], f[3], sf.TreeFrame(f).gap_tuple())
+               for f in frames]
+        assert got == expected
+        keys = [(f[1], f[3]) for f in frames]
+        assert keys == sorted(set(keys))
+        assert all(f[3] > f[2] for f in frames)
+
+    @pytest.mark.parametrize("g_max,workers,processes",
+                             [(3, 64, 1), (5, 64, 4), (5, 2, 2), (9, 3, 3)])
+    def test_pool_never_exceeds_jobs(self, monkeypatch, g_max, workers,
+                                     processes):
+        # The pool starts one process per job at most.  A fake context
+        # records the size asked for and runs the jobs in this process, so
+        # the test starts no process.
+        import multiprocessing
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, jobs):
+                return map(func, jobs)
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda *args: InlineContext())
+        table = sf.enumerate_tree(g_max, workers=workers)
+        assert sizes == [processes]
+        assert table.counts_equal(sf.enumerate_tree(g_max))
 
     @pytest.mark.parametrize("g_max", [0, 1, 2])
     def test_no_pool_without_jobs(self, monkeypatch, g_max):
