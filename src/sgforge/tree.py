@@ -352,9 +352,9 @@ def _walk(root, g_max, lam_max, table, collectors=(), spine=False):
     with no admissible edge (at depth g_max, or with no effective generator
     <= lam_max) are visited there and never pushed.
 
-    With ``spine`` set, it descends only along ordinary children (lam ==
-    m) and returns, unvisited, every other child with an admissible edge,
-    in (depth, Frobenius number) order; otherwise it returns [].
+    With ``spine`` set, it descends only along ordinary children
+    (lam == m) and returns, unvisited, every other child with an admissible
+    edge, in (depth, Frobenius number) order; otherwise it returns [].
     """
     nmg = table.n_mg_flat
     tgh = table.t_gh_flat
