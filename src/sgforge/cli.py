@@ -52,8 +52,7 @@ def _verify_parser(sub):
     p.add_argument("name", choices=conjectures.SWEEPS)
     p.add_argument("--max-genus", type=int, default=None, metavar="G",
                    help="sweep bound (Frobenius bound for zhai-lemma)")
-    # None tells an explicit --workers apart from the default of 1.
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=1,
                    help="default 1; N > 1 runs the walk in parallel")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
@@ -118,11 +117,8 @@ def _cmd_inspect(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     sweep = conjectures.SWEEPS[args.name]
-    if not sweep.parallel and args.workers is not None:
-        raise ValueError(f"verify {args.name} runs sequentially and takes "
-                         "no --workers")
     bound = sweep.default_bound if args.max_genus is None else args.max_genus
-    report = sweep.run(bound, 1 if args.workers is None else args.workers)
+    report = sweep.run(bound, args.workers)
     if args.format == "json":
         out.write(json.dumps(report.to_json()) + "\n")
     else:

@@ -6,7 +6,7 @@ means the property held everywhere on the swept range, and a bound that
 would leave nothing to check raises ValueError.  Witnesses carry enough of
 the offending semigroup (its gap set) to re-verify standalone.
 :data:`SWEEPS` holds the ``sgforge verify`` names, each with its default
-bound, ``--workers`` rule and CSV table.
+bound and CSV table.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def zhai_lemma_check(m: int, frob: int,
     return ZhaiCheck(lhs <= rhs + 1e-9, lhs, rhs)
 
 
-def zhai_sweep(f_max: int) -> VerificationReport:
+def zhai_sweep(f_max: int, *, workers: int = 1) -> VerificationReport:
     """All (m, F) classes with m < F <= f_max and F not a multiple of m.
 
     The first class is (2, 3), so f_max < 3 would check nothing.
@@ -184,7 +184,7 @@ def zhai_sweep(f_max: int) -> VerificationReport:
     if f_max < 3:
         raise ValueError("f_max must be >= 3; smaller bounds leave no "
                          "(m, F) class to check")
-    table = enumerate_tree(f_max, frobenius_max=f_max,
+    table = enumerate_tree(f_max, workers=workers, frobenius_max=f_max,
                            collectors={"strong": StrongClassCollector})
     classes = table.extras["strong"].classes
     violations = []
@@ -545,13 +545,13 @@ def ratio_report(census: CensusTable) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Oracle agreement sweeps
 
-def kunz_oracle_sweep(g_max: int) -> VerificationReport:
+def kunz_oracle_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Tree counts against polytope counts for m <= 9, plus the exact m = 3
     formula for g <= 30."""
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "(m, g) cell to check")
-    census = enumerate_tree(g_max)
+    census = enumerate_tree(g_max, workers=workers)
     violations = []
     rows = []
     for m in range(2, 10):
@@ -575,7 +575,7 @@ def kunz_oracle_sweep(g_max: int) -> VerificationReport:
     )
 
 
-def recurrence_sweep(g_max: int) -> VerificationReport:
+def recurrence_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     """The 2g < 3m truncation recurrence, by counts and by explicit bijection.
 
     Counts: N(m-1, g-1) + N(m-1, g-2) = N(m, g) for every cell with
@@ -585,7 +585,7 @@ def recurrence_sweep(g_max: int) -> VerificationReport:
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "(m, g) cell to check")
-    census = enumerate_tree(g_max)
+    census = enumerate_tree(g_max, workers=workers)
     violations = []
     cells = 0
     for g in range(1, g_max + 1):
@@ -612,6 +612,9 @@ def recurrence_sweep(g_max: int) -> VerificationReport:
 def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> VerificationReport:
     """2 F(g) <= N(g) <= 1 + 3 * 2^(g-3) for 3 <= g <= g_max, and the
     sandwich fibonacci(g+1) = (F < 2m count) and lower bound <= t(g) <= N(g)."""
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "genus to check")
     if census is None or census.g_max < g_max:
         census = enumerate_tree(g_max)
     violations = []
@@ -641,12 +644,11 @@ def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> Verificati
 class Sweep:
     """One ``sgforge verify`` name.  ``run(bound, workers)`` returns its
     report; the bound limits the genus, or the Frobenius number for
-    zhai-lemma.  A sweep that is not ``parallel`` ignores ``workers``.
-    ``rows`` turns the report's stats into CSV rows under ``headers``."""
+    zhai-lemma.  ``rows`` turns the report's stats into CSV rows under
+    ``headers``."""
 
     run: Callable[[int, int], VerificationReport]
     default_bound: int
-    parallel: bool
     headers: tuple[str, ...] = ()
     rows: Callable[[dict], list] = lambda stats: stats.get("rows", [])
 
@@ -661,19 +663,19 @@ def _buchweitz_rows(stats: dict) -> list[tuple]:
 
 
 SWEEPS: dict[str, Sweep] = {
-    "wilf": Sweep(lambda b, w: wilf_sweep(b, workers=w), 30, True,
+    "wilf": Sweep(lambda b, w: wilf_sweep(b, workers=w), 30,
                   ("g", "violations")),
-    "ye": Sweep(lambda b, w: ye_sweep(b, workers=w), 20, True),
+    "ye": Sweep(lambda b, w: ye_sweep(b, workers=w), 20),
     "bras-amoros": Sweep(lambda b, w: ratio_report(enumerate_tree(b, workers=w)),
-                         30, True, ("g", "fib_ratio", "phi_ratio"), _ratio_rows),
+                         30, ("g", "fib_ratio", "phi_ratio"), _ratio_rows),
     "ordinarization": Sweep(lambda b, w: ordinarization_sweep(b, workers=w),
-                            18, True, ("g", "r", "count")),
-    "pflueger": Sweep(lambda b, w: pflueger_sweep(b, workers=w), 25, True,
+                            18, ("g", "r", "count")),
+    "pflueger": Sweep(lambda b, w: pflueger_sweep(b, workers=w), 25,
                       ("g", "max_ewt", "bound")),
-    "zhai-lemma": Sweep(lambda b, _w: zhai_sweep(b), 20, False),
-    "kunz-oracle": Sweep(lambda b, _w: kunz_oracle_sweep(b), 15, False,
+    "zhai-lemma": Sweep(lambda b, w: zhai_sweep(b, workers=w), 20),
+    "kunz-oracle": Sweep(lambda b, w: kunz_oracle_sweep(b, workers=w), 15,
                          ("m", "g", "count_polytope", "count_tree", "match")),
-    "recurrence": Sweep(lambda b, _w: recurrence_sweep(b), 18, False),
-    "buchweitz": Sweep(lambda b, w: buchweitz_sweep(b, workers=w), 16, True,
+    "recurrence": Sweep(lambda b, w: recurrence_sweep(b, workers=w), 18),
+    "buchweitz": Sweep(lambda b, w: buchweitz_sweep(b, workers=w), 16,
                        ("g", "failures", "total"), _buchweitz_rows),
 }

@@ -89,8 +89,8 @@ def test_criterion_03_depth30_performance_oracle_determinism(timed30):
     ok = ok and harvest.n_of_g == table.n_of_g[:13]
 
     # Byte-identical output across split/worker configurations.  Only
-    # workers > 1 starts the parallel walk; split_depth is range-checked and
-    # otherwise ignored, so the (d, 1) runs are sequential.
+    # workers > 1 starts a pool; split_depth is range-checked and otherwise
+    # ignored, so the (d, 1) runs walk their jobs in this process.
     baseline = _render_table(["genus", "count"], table.rows_by_genus(), "csv")
     for split, workers in [(3, 1), (6, 1), (3, 4), (6, 4)]:
         other = sf.enumerate_tree(30, split_depth=split, workers=workers)

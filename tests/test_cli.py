@@ -13,7 +13,8 @@ import sgforge as sf
 from sgforge import conjectures
 from sgforge.cli import main
 
-# verify names without a parallel path.
+# verify names that once ran in one process only and rejected --workers;
+# TestSequentialSweeps checks that they now take it like every other name.
 SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
 
 # Every verify name with a bound that runs fast.
@@ -168,10 +169,8 @@ class TestInspect:
 class TestVerify:
     @pytest.mark.parametrize("name,bound", VERIFY_BOUNDS)
     def test_all_names_exit_zero(self, capsys, name, bound):
-        # The sequential sweeps take no --workers; see TestSequentialSweeps.
-        knobs = [] if name in SEQUENTIAL_SWEEPS else ["--workers", "1"]
         code, _out, err = run_cli(capsys, "verify", name, "--max-genus", bound,
-                                  *knobs)
+                                  "--workers", "1")
         assert code == 0
         assert "ok" in err
 
@@ -209,15 +208,12 @@ class TestVerify:
         assert names == list(conjectures.SWEEPS)
         assert names == [name for name, _ in VERIFY_BOUNDS]
         assert names == list(CSV_HEADERS)
-        assert tuple(name for name, sweep in conjectures.SWEEPS.items()
-                     if not sweep.parallel) == SEQUENTIAL_SWEEPS
 
     def test_readme_table_matches_sweeps(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| [\w ]+ \| (yes|no) \|",
+        rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| [\w ]+ \|",
                           readme, re.MULTILINE)
-        assert rows == [(name, str(sweep.default_bound),
-                         "yes" if sweep.parallel else "no")
+        assert rows == [(name, str(sweep.default_bound))
                         for name, sweep in conjectures.SWEEPS.items()]
 
     @pytest.mark.parametrize("name", CSV_HEADERS)
@@ -295,29 +291,31 @@ class TestParallelKnobs:
         assert "workers" in err
 
     def test_workers_alone_runs_the_pool(self, capsys, monkeypatch):
-        # No split depth: workers > 1 alone walks the spine and farms out
-        # its off-spine children, and the output matches a sequential run.
-        from sgforge import tree
+        # No split depth: workers > 1 alone runs the spine's jobs on a
+        # pool, workers = 1 runs them in this process, and the outputs
+        # are the same.
+        import multiprocessing
 
-        calls = []
-        real = tree._spine_frontier
+        pools = []
+        real = multiprocessing.get_context
 
         def spy(*args):
-            calls.append(args[0])
+            pools.append(args)
             return real(*args)
 
-        monkeypatch.setattr(tree, "_spine_frontier", spy)
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
         seq = sf.enumerate_tree(12)
-        assert calls == []
+        assert pools == []
         assert sf.enumerate_tree(12, workers=2).counts_equal(seq)
-        assert calls == [12]
+        assert len(pools) == 1
         _, seq_out, _ = run_cli(capsys, "count", "--max-genus", "12",
-                                "--by", "efficacy")
+                                "--by", "efficacy", "--workers", "1")
+        assert len(pools) == 1
         code, par_out, _ = run_cli(capsys, "count", "--max-genus", "12",
                                    "--by", "efficacy", "--workers", "2")
         assert code == 0
         assert par_out == seq_out
-        assert calls == [12, 12]
+        assert len(pools) == 2
 
     def test_buchweitz_passes_parallel_knobs(self, capsys, monkeypatch):
         seen = {}
@@ -339,8 +337,12 @@ class TestSequentialSweeps:
     @pytest.mark.parametrize("knob", [["--workers", "2"], ["--workers", "1"]],
                              ids=["workers", "explicit-one"])
     def test_parallel_knobs_rejected(self, capsys, name, knob):
-        err = one_line_error(capsys, "verify", name, "--max-genus", "6", *knob)
-        assert name in err
+        # No longer rejected: --workers 1 and 2 print the same bytes, and
+        # exit the same way, as no --workers at all.
+        plain = run_cli(capsys, "verify", name, "--max-genus", "9")
+        assert plain[0] == 0
+        assert run_cli(capsys, "verify", name, "--max-genus", "9",
+                       *knob) == plain
 
     @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
     def test_thread_variable_alone_is_fine(self, capsys, monkeypatch, name):
@@ -411,7 +413,7 @@ REJECTED_COMMANDS = [
     ["count", "--max-genus", "0", "--by", "frobenius"],
     ["count", "--max-genus", "3", "--workers", "0"],
     ["verify", "wilf", "--max-genus", "0"],
-    ["verify", "zhai-lemma", "--workers", "2"],
+    ["verify", "zhai-lemma", "--workers", "0"],
     ["inspect", "4", "6"],
     ["inspect", "0", "3"],
 ]

@@ -342,17 +342,21 @@ class TestIncrementalCollectors:
     G_MAX = 14
 
     def _expected_orphans(self, workers):
-        # The root, and with a pool each job root, which starts in a fresh
-        # collector.  Childless children are visited in their parent's loop,
-        # so none of them roots a job.
-        from sgforge.tree import CensusTable, _root_frame, _spine_frontier
+        # The root, and each job root: on a pool it starts in a fresh
+        # collector, and in one process it follows the previous job.  Only
+        # the jobs of least depth follow nodes one level down from their
+        # spine parent, the last node the spine walk visited at its depth.
+        # Childless children are visited in their parent's loop, so none
+        # of them roots a job.
+        from sgforge.tree import CensusTable, _root_frame, _walk
 
         g = self.G_MAX
-        roots = [_root_frame(g)]
-        if workers > 1:
-            roots += _spine_frontier(g, 3 * g + 3, CensusTable.empty(g, g),
-                                     [EwtMaxCollector()])
-        return sorted(frame[0] for frame in roots)
+        root = _root_frame(g)
+        jobs = _walk(root, g, 3 * g + 3, CensusTable.empty(g, g),
+                     [EwtMaxCollector()])
+        if workers == 1:
+            jobs = [frame for frame in jobs if frame[1] > jobs[0][1]]
+        return sorted(frame[0] for frame in [root, *jobs])
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
@@ -525,3 +529,17 @@ class TestOracleSweeps:
 
     def test_bounds(self, census16):
         assert sf.bounds_sweep(16, census=census16).ok
+
+    @pytest.mark.parametrize("g_max", [0, -1])
+    def test_bounds_vacuous_bound_rejected(self, census16, g_max):
+        # Its rows start at genus 1, so a smaller bound checks nothing,
+        # whether or not a census is given.
+        for census in (None, census16):
+            with pytest.raises(ValueError, match="g_max must be >= 1"):
+                sf.bounds_sweep(g_max, census=census)
+
+    @pytest.mark.parametrize("sweep", ["zhai_sweep", "kunz_oracle_sweep",
+                                       "recurrence_sweep"])
+    def test_workers_leave_report_unchanged(self, sweep):
+        run = getattr(sf, sweep)
+        assert run(9, workers=2).to_json() == run(9).to_json()

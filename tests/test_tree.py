@@ -541,12 +541,12 @@ class TestDeterminism:
         # Split at the spine by hand and recombine in both orders.  The
         # spine walk tallies the job roots in their parents' loops, and
         # each job only their descendants; the root is tallied apart.
-        from sgforge.tree import CensusTable, _spine_frontier, _tally_root
+        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
 
         g_max = 9
         prefix = CensusTable.empty(g_max, g_max)
         _tally_root(prefix)
-        frontier = _spine_frontier(g_max, 100, prefix)
+        frontier = _walk(_root_frame(g_max), g_max, 100, prefix)
         parts = [job_table(f, g_max, 100, g_max) for f in frontier]
         left = prefix
         for p in parts:
@@ -558,13 +558,13 @@ class TestDeterminism:
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
-        from sgforge.tree import CensusTable, _spine_frontier, _tally_root
+        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
 
         g_max = 18
         lam_max = 3 * g_max + 3
         spine = CensusTable.empty(g_max, g_max)
         _tally_root(spine)
-        jobs = _spine_frontier(g_max, lam_max, spine)
+        jobs = _walk(_root_frame(g_max), g_max, lam_max, spine)
         # The calling process tallies the root, the ordinary semigroups
         # (genus g, multiplicity g + 1) and every other child of a spine
         # node, job roots included; a job counts its root's descendants.
@@ -586,15 +586,16 @@ class TestDeterminism:
         # same jobs as count-only walks and tally the same spine.  The
         # spine walk visits the root, which the caller tallies, and tallies
         # each job root, which its job visits.
-        from sgforge.tree import CensusTable, _spine_frontier
+        from sgforge.tree import CensusTable, _root_frame, _walk
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         plain = CensusTable.empty(g_max, g_max)
         rich = CensusTable.empty(g_max, g_max)
         coll = GapSetCollector()
-        jobs = _spine_frontier(g_max, lam_max, plain)
+        root = _root_frame(g_max)
+        jobs = _walk(root, g_max, lam_max, plain)
         assert jobs
-        assert _spine_frontier(g_max, lam_max, rich, [coll]) == jobs
+        assert _walk(root, g_max, lam_max, rich, [coll]) == jobs
         assert rich.counts_equal(plain)
         visited = sum(map(len, coll.by_genus.values()))
         assert visited - 1 + len(jobs) == sum(plain.n_of_g)
@@ -606,11 +607,12 @@ class TestDeterminism:
         # column, no genus or Frobenius number up to its root's).  Added
         # back by offset, they must rebuild the whole table of the same
         # walk, for every spine job.
-        from sgforge.tree import CensusTable, _spine_frontier, _walk
+        from sgforge.tree import CensusTable, _root_frame, _walk
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         cap = min(g_max, lam_max)
-        frames = _spine_frontier(g_max, lam_max, CensusTable.empty(g_max, cap))
+        frames = _walk(_root_frame(g_max), g_max, lam_max,
+                       CensusTable.empty(g_max, cap))
         assert frames
         for frame in frames:
             whole = CensusTable.empty(g_max, cap)
@@ -627,7 +629,7 @@ class TestDeterminism:
         # admissible edge; built here with core, in (depth, F) order.  The
         # spine walk must yield exactly those, in that order, and each
         # removes lam in (m, 2m), so no job root is ordinary (F > m).
-        from sgforge.tree import CensusTable, _spine_frontier
+        from sgforge.tree import CensusTable, _root_frame, _walk
 
         lam_max = 3 * g_max + 3 if lam_max == "3g+3" else lam_max
         expected = []
@@ -641,8 +643,8 @@ class TestDeterminism:
                        for t in child.effective_generators()):
                     expected.append((child.genus, child.multiplicity,
                                      child.frobenius, child.gaps()))
-        frames = _spine_frontier(g_max, lam_max,
-                                 CensusTable.empty(g_max, min(g_max, lam_max)))
+        frames = _walk(_root_frame(g_max), g_max, lam_max,
+                       CensusTable.empty(g_max, min(g_max, lam_max)))
         got = [(f[1], f[2], f[3], sf.TreeFrame(f).gap_tuple())
                for f in frames]
         assert got == expected
@@ -650,14 +652,13 @@ class TestDeterminism:
         assert keys == sorted(set(keys))
         assert all(f[3] > f[2] for f in frames)
 
-    @pytest.mark.parametrize("g_max,workers,processes",
-                             [(3, 64, 1), (5, 64, 4), (5, 2, 2), (9, 3, 3)])
-    def test_pool_never_exceeds_jobs(self, monkeypatch, g_max, workers,
-                                     processes):
-        # The pool starts one process per job at most.  A fake context
-        # records the size asked for and runs the jobs in this process, so
-        # the test starts no process.
+    @staticmethod
+    def _pool_sizes(monkeypatch, g_max, workers, cpus):
+        # A fake context records the pool size asked for and runs the jobs
+        # in this process, so no process starts, and os.cpu_count reads
+        # ``cpus`` whatever the host has.
         import multiprocessing
+        import os
 
         sizes = []
 
@@ -679,9 +680,43 @@ class TestDeterminism:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *args: InlineContext())
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         table = sf.enumerate_tree(g_max, workers=workers)
-        assert sizes == [processes]
         assert table.counts_equal(sf.enumerate_tree(g_max))
+        return sizes
+
+    @pytest.mark.parametrize("g_max,workers,processes",
+                             [(3, 64, 1), (5, 64, 4), (5, 2, 2), (9, 3, 3)])
+    def test_pool_never_exceeds_jobs(self, monkeypatch, g_max, workers,
+                                     processes):
+        # With CPUs to spare the pool starts one process per job at most.
+        assert self._pool_sizes(monkeypatch, g_max, workers, 64) \
+            == [processes]
+
+    @pytest.mark.parametrize("g_max,workers,cpus,processes",
+                             [(9, 64, 2, 2), (9, 3, 2, 2), (9, 1000, 1, 1),
+                              (9, 2, None, 1)])
+    def test_pool_never_exceeds_cpus(self, monkeypatch, g_max, workers,
+                                     cpus, processes):
+        # Nor more processes than CPUs; an unknown CPU count means one.
+        assert self._pool_sizes(monkeypatch, g_max, workers, cpus) \
+            == [processes]
+
+    @pytest.mark.parametrize("g_max,f_max", [(14, None), (24, None),
+                                             (14, 9), (16, 20)])
+    def test_walk_from_a_job_root_returns_nothing(self, g_max, f_max):
+        # No node below a job root is ordinary, so its walk descends
+        # everywhere, as the pool's jobs do, and yields no further job.
+        from sgforge.tree import CensusTable, _root_frame, _walk
+
+        lam_max = 3 * g_max + 3 if f_max is None else f_max
+        cap = min(g_max, lam_max)
+        frames = _walk(_root_frame(g_max), g_max, lam_max,
+                       CensusTable.empty(g_max, cap))
+        assert frames
+        for frame in frames:
+            assert _walk(frame, g_max, lam_max,
+                         CensusTable.empty(g_max, cap)) == [], frame[1:4]
 
     @pytest.mark.parametrize("g_max", [0, 1, 2])
     def test_no_pool_without_jobs(self, monkeypatch, g_max):

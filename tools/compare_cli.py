@@ -7,8 +7,9 @@ code differs.
 Each case runs ``python -m sgforge.cli`` in a fresh process with
 ``PYTHONPATH`` set to one tree.  The 309 cases are every verify name in
 csv and json at ``--max-genus`` 2, 3 and 9, with no ``--workers``, with 1
-and with 2; every name at ``--max-genus`` -1, 0 and 1 and with
-``--workers 0``; the default bound in csv and json for every name but
+and with 2 (every name takes ``--workers``, and the three should print
+the same); every name at ``--max-genus`` -1, 0 and 1 and with
+``--workers 0``, which every name rejects; the default bound in csv and json for every name but
 ``wilf`` and ``bras-amoros``, whose genus-30 walks take tens of seconds;
 ``verify --help``, ``--help``, an unknown name and a bare ``verify``;
 ``inspect`` on five generator sets from the trivial semigroup to
