@@ -2,11 +2,11 @@
 conjectures that are checkable at desk scale.
 
 Each sweep returns a :class:`VerificationReport`; an empty violation list
-means the property held everywhere on the swept range, and a bound that
-would leave nothing to check raises ValueError.  Witnesses carry enough of
-the offending semigroup (its gap set) to re-verify standalone.
-:data:`SWEEPS` holds the ``sgforge verify`` names, each with its default
-bound and CSV table.
+means the property held everywhere on the swept range; a bound that would
+leave nothing to check, or a Frobenius-pruned census, raises ValueError.
+Witnesses carry enough of the offending semigroup (its gap set) to
+re-verify standalone.  :data:`SWEEPS` holds the ``sgforge verify`` names,
+each with its default bound and CSV table.
 """
 
 from __future__ import annotations
@@ -51,6 +51,21 @@ class VerificationReport:
         }
 
 
+def _census(census: CensusTable | None, g_max: int,
+            workers: int = 1) -> CensusTable:
+    # The given census, unless it stops short of g_max: then a new walk.
+    if census is not None and census.pruned:
+        raise ValueError("a Frobenius-pruned census misses semigroups")
+    if census is None or census.g_max < g_max:
+        census = enumerate_tree(g_max, workers=workers)
+    return census
+
+
+def _add_counts(mine: dict, theirs: dict) -> None:
+    for key, c in theirs.items():
+        mine[key] = mine.get(key, 0) + c
+
+
 # ---------------------------------------------------------------------------
 # Wilf's inequality
 
@@ -76,8 +91,7 @@ def wilf_sweep(g_max: int, *, workers: int = 1,
     to check, so g_max = 0 would check nothing; the walk rejects a negative
     g_max first.
     """
-    if census is None or census.g_max < g_max:
-        census = enumerate_tree(g_max, workers=workers)
+    census = _census(census, g_max, workers)
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "genus to check")
@@ -127,8 +141,7 @@ def ye_sweep(g_max: int, *, census: CensusTable | None = None,
     if g_max < 0:
         raise ValueError("g_max must be >= 0; smaller bounds leave no "
                          "genus to check")
-    if census is None or census.g_max < g_max + 2:
-        census = enumerate_tree(g_max + 2, workers=workers)
+    census = _census(census, g_max + 2, workers)
     violations = []
     for g in range(g_max + 1):
         res = ye_identity(g, census)
@@ -239,8 +252,7 @@ class OrdinarizationCollector:
         self.counts[key] = self.counts.get(key, 0) + 1
 
     def merge(self, other: "OrdinarizationCollector") -> "OrdinarizationCollector":
-        for key, c in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + c
+        _add_counts(self.counts, other.counts)
         return self
 
 
@@ -324,8 +336,7 @@ class BuchweitzCollector:
             _add_witness(self.witnesses, TreeFrame(node).gap_tuple())
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
-        for g, c in other.failures.items():
-            self.failures[g] = self.failures.get(g, 0) + c
+        _add_counts(self.failures, other.failures)
         self.witnesses = _merge_witnesses(self.witnesses, other.witnesses)
         return self
 
@@ -450,8 +461,7 @@ class ConcentrationCollector:
             self.a_band[g] = self.a_band.get(g, 0) + 1
 
     def merge(self, other: "ConcentrationCollector") -> "ConcentrationCollector":
-        for g, c in other.a_band.items():
-            self.a_band[g] = self.a_band.get(g, 0) + c
+        _add_counts(self.a_band, other.a_band)
         return self
 
 
@@ -518,7 +528,7 @@ def ratio_report(census: CensusTable) -> VerificationReport:
     Emits (g, (N(g-1)+N(g-2))/N(g), N(g)/N(g-1)) rows for plotting.  The
     first checked genus is 2, so a census with g_max < 2 is rejected.
     """
-    g_max = census.g_max
+    g_max = _census(census, census.g_max).g_max
     if g_max < 2:
         raise ValueError("g_max must be >= 2; smaller bounds leave no "
                          "genus to check")
@@ -615,8 +625,7 @@ def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> Verificati
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "genus to check")
-    if census is None or census.g_max < g_max:
-        census = enumerate_tree(g_max)
+    census = _census(census, g_max)
     violations = []
     rows = []
     for g in range(1, g_max + 1):

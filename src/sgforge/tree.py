@@ -47,12 +47,15 @@ the spine nodes' other children that have children of their own, the job
 roots.  Each removes some lam in (m, 2m) from a spine node, so its
 Frobenius number exceeds its multiplicity and no node of its subtree is
 ordinary: a walk from a job root descends everywhere and returns nothing.
+Every job walks into fresh collectors and ships back the cells it can
+count, whatever the worker count; a pool starts only for two processes up.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import insort
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Mapping, Protocol
@@ -188,6 +191,7 @@ class CensusTable:
     s_gh_flat: list[int]
     ns_flat: list[int]
     extras: dict = field(default_factory=dict)
+    pruned: bool = False       # a Frobenius bound cut some edge
 
     @classmethod
     def empty(cls, g_max: int, frobenius_cap: int) -> "CensusTable":
@@ -291,8 +295,9 @@ class CensusTable:
     def merge(self, other: "CensusTable") -> "CensusTable":
         """Pointwise sum of two tables from disjoint subtrees of the same run
         (same depth bound, Frobenius cap and collector names)."""
-        if ((self.g_max, self.frobenius_cap, self.extras.keys())
-                != (other.g_max, other.frobenius_cap, other.extras.keys())):
+        if ((self.g_max, self.frobenius_cap, self.pruned, self.extras.keys())
+                != (other.g_max, other.frobenius_cap, other.pruned,
+                    other.extras.keys())):
             raise ValueError("cannot merge tables from different runs")
         total = replace(self, extras=dict(self.extras),
                         **{name: list(getattr(self, name))
@@ -504,23 +509,19 @@ def enumerate_tree(
     With ``frobenius_max`` set, edges removing a generator above that bound
     are pruned, restricting the visited set to semigroups whose Frobenius
     number stays within the bound; counts other than ``ns()`` then
-    describe that restricted universe.
+    describe that restricted universe, and ``pruned`` marks a bound below
+    2 * g_max - 1, which cuts some edge.
 
-    Every run walks the chain of ordinary semigroups {0, m, m+1, ...} from
-    the root first, tallying the spine and all the children of its nodes.
-    Each other child with children of its own roots one job, which visits
-    its root and counts only its root's descendants; the jobs then run in
-    the order that walk yields them.  ``workers`` decides only where: with
-    1 each job walks in this process into the same table, and otherwise on
-    a pool of min(workers, jobs, CPUs) processes, whose results merge in
-    that fixed job order; with no job (as for every g_max <= 2) no pool is
-    started.  Witness lists keep the least gap tuples, so the table is the
-    same whatever ``workers`` is.  ``split_depth`` shapes nothing: it is
-    range-checked and otherwise ignored, and stays only while the benchmark
-    and acceptance criterion 3 still pass it.  ``collectors`` maps names to
-    zero-argument factories producing per-worker collector instances
-    (module-level classes, so they survive pickling), merged into
-    ``extras`` afterwards.
+    Every run walks the spine from the root, then merges its jobs' parts
+    in job order.  ``workers`` decides only where the jobs run: on a pool
+    of min(workers, jobs, CPUs) processes when that is at least two, and
+    otherwise in this process.  Witness lists keep the least gap tuples,
+    so the table is the same whatever ``workers`` is.  ``split_depth``
+    shapes nothing: it is range-checked and otherwise ignored, and stays
+    only while the benchmark and acceptance criterion 3 still pass it.
+    ``collectors`` maps names to zero-argument factories producing
+    per-job collector instances (module-level classes, so they survive
+    pickling), merged into ``extras`` afterwards.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
@@ -530,23 +531,23 @@ def enumerate_tree(
         raise ValueError("workers must be >= 1")
     lam_max = frobenius_max if frobenius_max is not None else 3 * g_max + 3
     table = CensusTable.empty(g_max, min(g_max, lam_max))
+    table.pruned = lam_max < 2 * g_max - 1     # F <= 2g - 1 at genus g
     _tally_root(table)
     factories = sorted(collectors.items()) if collectors else []
     table.extras = {name: make() for name, make in factories}
-    made = list(table.extras.values())
-
-    frontier = _walk(_root_frame(g_max), g_max, lam_max, table, made)
-    if workers == 1 or not frontier:
-        for frame in frontier:
-            _walk(frame, g_max, lam_max, table, made)
-        return table
+    frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
+                     list(table.extras.values()))
     jobs = [(frame, g_max, lam_max, table.frobenius_cap, factories)
             for frame in frontier]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
-    from multiprocessing import get_context   # slow to import; only used here
-    with get_context().Pool(processes=processes) as pool:
-        # imap keeps the job order, and merging overlaps the running jobs.
-        for frame, part in zip(frontier, pool.imap(_subtree_job, jobs)):
+    with ExitStack() as scope:
+        parts = map(_subtree_job, jobs)
+        if processes > 1:
+            from multiprocessing import get_context   # slow to import
+            pool = scope.enter_context(get_context().Pool(processes=processes))
+            # imap keeps the job order, and merging overlaps the running jobs.
+            parts = pool.imap(_subtree_job, jobs)
+        for frame, part in zip(frontier, parts):
             table._add_part(table._spans(frame), part)
     return table
 

@@ -14,8 +14,8 @@ from sgforge import conjectures
 from sgforge.cli import main
 
 # verify names that once ran in one process only and rejected --workers;
-# TestSequentialSweeps checks that they now take it like every other name.
-SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
+# TestOnceSequentialSweeps checks that they now take it like every other name.
+ONCE_SEQUENTIAL_SWEEPS = ("zhai-lemma", "kunz-oracle", "recurrence")
 
 # Every verify name with a bound that runs fast.
 VERIFY_BOUNDS = [
@@ -293,8 +293,10 @@ class TestParallelKnobs:
     def test_workers_alone_runs_the_pool(self, capsys, monkeypatch):
         # No split depth: workers > 1 alone runs the spine's jobs on a
         # pool, workers = 1 runs them in this process, and the outputs
-        # are the same.
+        # are the same.  Two CPUs are reported whatever the host has, as
+        # one CPU starts no pool.
         import multiprocessing
+        import os
 
         pools = []
         real = multiprocessing.get_context
@@ -304,6 +306,7 @@ class TestParallelKnobs:
             return real(*args)
 
         monkeypatch.setattr(multiprocessing, "get_context", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seq = sf.enumerate_tree(12)
         assert pools == []
         assert sf.enumerate_tree(12, workers=2).counts_equal(seq)
@@ -332,19 +335,19 @@ class TestParallelKnobs:
         assert seen == {"workers": 2}
 
 
-class TestSequentialSweeps:
-    @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
+class TestOnceSequentialSweeps:
+    @pytest.mark.parametrize("name", ONCE_SEQUENTIAL_SWEEPS)
     @pytest.mark.parametrize("knob", [["--workers", "2"], ["--workers", "1"]],
                              ids=["workers", "explicit-one"])
-    def test_parallel_knobs_rejected(self, capsys, name, knob):
-        # No longer rejected: --workers 1 and 2 print the same bytes, and
-        # exit the same way, as no --workers at all.
+    def test_workers_change_nothing(self, capsys, name, knob):
+        # --workers 1 and 2 print the same bytes, and exit the same way, as
+        # no --workers at all.
         plain = run_cli(capsys, "verify", name, "--max-genus", "9")
         assert plain[0] == 0
         assert run_cli(capsys, "verify", name, "--max-genus", "9",
                        *knob) == plain
 
-    @pytest.mark.parametrize("name", SEQUENTIAL_SWEEPS)
+    @pytest.mark.parametrize("name", ONCE_SEQUENTIAL_SWEEPS)
     def test_thread_variable_alone_is_fine(self, capsys, monkeypatch, name):
         # SGFORGE_THREADS is no longer read, so not even a bad value matters.
         monkeypatch.setenv("SGFORGE_THREADS", "abc")

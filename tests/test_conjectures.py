@@ -341,21 +341,16 @@ class SumsetAudit(IncrementalAudit, BuchweitzCollector):
 class TestIncrementalCollectors:
     G_MAX = 14
 
-    def _expected_orphans(self, workers):
-        # The root, and each job root: on a pool it starts in a fresh
-        # collector, and in one process it follows the previous job.  Only
-        # the jobs of least depth follow nodes one level down from their
-        # spine parent, the last node the spine walk visited at its depth.
-        # Childless children are visited in their parent's loop, so none
-        # of them roots a job.
+    def _expected_orphans(self):
+        # The root, and each job root, which starts in a fresh collector
+        # whatever ``workers`` is.  Childless children are visited in their
+        # parent's loop, so none of them roots a job.
         from sgforge.tree import CensusTable, _root_frame, _walk
 
         g = self.G_MAX
         root = _root_frame(g)
         jobs = _walk(root, g, 3 * g + 3, CensusTable.empty(g, g),
                      [EwtMaxCollector()])
-        if workers == 1:
-            jobs = [frame for frame in jobs if frame[1] > jobs[0][1]]
         return sorted(frame[0] for frame in [root, *jobs])
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -367,7 +362,7 @@ class TestIncrementalCollectors:
         coll = table.extras["audit"]
         assert coll.nodes == sum(table.n_of_g) == 4107
         assert coll.wrong == 0
-        assert sorted(coll.orphans) == self._expected_orphans(workers)
+        assert sorted(coll.orphans) == self._expected_orphans()
 
     @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
                              ids=["ewt", "sumset"])
@@ -509,6 +504,38 @@ class TestRatioReport:
         data = sf.ratio_report(census16).to_json()
         assert data["ok"] is True
         assert set(data) == {"name", "params", "ok", "violations", "stats"}
+
+
+class TestPrunedCensus:
+    # The four checks that read a genus census handed to them.
+    CHECKS = {
+        "wilf": lambda census: sf.wilf_sweep(9, census=census),
+        "ye": lambda census: sf.ye_sweep(7, census=census),
+        "bounds": lambda census: sf.bounds_sweep(9, census=census),
+        "ratio": sf.ratio_report,
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("f_max", [6, 12, 17])
+    def test_pruned_census_rejected(self, f_max, check):
+        # F <= 2g - 1 at genus g, so at g_max = 9 the bound 17 cuts no edge
+        # and the table is the full census.  Bounds 6 and 12 cut edges: the
+        # table misses semigroups, though at 12 its g_max and Frobenius cap
+        # equal a full census's, so the checks would report false
+        # violations (and ratio_report divide by zero at 6).
+        run = self.CHECKS[check]
+        full = sf.enumerate_tree(9)
+        census = sf.enumerate_tree(9, frobenius_max=f_max)
+        assert census.pruned == (f_max < 17)
+        if census.pruned:
+            with pytest.raises(ValueError, match="pruned"):
+                run(census)
+            with pytest.raises(ValueError, match="different runs"):
+                full.merge(census)
+        else:
+            assert census.counts_equal(full)
+            assert run(census).ok
+            assert run(census).to_json() == run(full).to_json()
 
 
 class TestOracleSweeps:
