@@ -22,7 +22,7 @@ from .errors import AlreadyOrdinary, IncompleteCensus
 from .formulas import fibonacci, global_bounds, zhao_lower_bound
 from .kunz import count_by_polytope, recurrence_bijection_check
 from .tree import (CensusTable, TreeFrame, _add_witness, _merge_witnesses,
-                   enumerate_tree)
+                   collect, enumerate_tree)
 
 PHI = (1 + math.sqrt(5)) / 2
 GAMMA = (5 + math.sqrt(5)) / 10
@@ -197,9 +197,8 @@ def zhai_sweep(f_max: int, *, workers: int = 1) -> VerificationReport:
     if f_max < 3:
         raise ValueError("f_max must be >= 3; smaller bounds leave no "
                          "(m, F) class to check")
-    table = enumerate_tree(f_max, workers=workers, frobenius_max=f_max,
-                           collectors={"strong": StrongClassCollector})
-    classes = table.extras["strong"].classes
+    classes = collect(f_max, {"strong": StrongClassCollector},
+                      frobenius_max=f_max, workers=workers)["strong"].classes
     violations = []
     checked = 0
     for frob in range(2, f_max + 1):
@@ -259,9 +258,9 @@ class OrdinarizationCollector:
 def ordinarization_census(g_max: int, *,
                           workers: int = 1) -> dict[tuple[int, int], int]:
     """n(g, r) for every g <= g_max: semigroups of genus g needing r steps."""
-    table = enumerate_tree(g_max, workers=workers,
-                           collectors={"ordinarization": OrdinarizationCollector})
-    return dict(table.extras["ordinarization"].counts)
+    found = collect(g_max, {"ordinarization": OrdinarizationCollector},
+                    workers=workers)
+    return dict(found["ordinarization"].counts)
 
 
 def ordinarization_sweep(g_max: int, *,
@@ -314,10 +313,11 @@ def buchweitz_check(sg: NumericalSemigroup) -> bool:
 
 
 class BuchweitzCollector:
-    """Per-genus failures of the 2-fold sumset bound."""
+    """Per-genus failures of the 2-fold sumset bound, and per-genus totals."""
 
     def __init__(self):
         self.failures: dict[int, int] = {}
+        self.totals: dict[int, int] = {}
         self.witnesses: list[tuple[int, ...]] = []
         self._last: dict[int, tuple[int, int]] = {}   # genus: (mask, L + L)
 
@@ -331,12 +331,14 @@ class BuchweitzCollector:
         else:
             sums = _sumset(gap_mask)
         self._last[g] = (mask, sums)
+        self.totals[g] = self.totals.get(g, 0) + 1
         if g >= 2 and sums.bit_count() > 3 * (g - 1):
             self.failures[g] = self.failures.get(g, 0) + 1
             _add_witness(self.witnesses, TreeFrame(node).gap_tuple())
 
     def merge(self, other: "BuchweitzCollector") -> "BuchweitzCollector":
         _add_counts(self.failures, other.failures)
+        _add_counts(self.totals, other.totals)
         self.witnesses = _merge_witnesses(self.witnesses, other.witnesses)
         return self
 
@@ -351,15 +353,14 @@ def buchweitz_sweep(g_max: int, *,
     """
     if g_max < 2:
         raise ValueError("g_max must be >= 2; the criterion needs genus >= 2")
-    table = enumerate_tree(g_max, workers=workers,
-                           collectors={"buchweitz": BuchweitzCollector})
-    coll = table.extras["buchweitz"]
+    coll = collect(g_max, {"buchweitz": BuchweitzCollector},
+                   workers=workers)["buchweitz"]
     first_failure = min(coll.failures) if coll.failures else None
     return VerificationReport(
         "buchweitz", {"g_max": g_max}, [],
         {
             "failures": {g: coll.failures[g] for g in sorted(coll.failures)},
-            "totals": {g: table.n(g) for g in range(2, g_max + 1)},
+            "totals": {g: coll.totals[g] for g in range(2, g_max + 1)},
             "first_failure_genus": first_failure,
             "witnesses": [list(w) for w in coll.witnesses[:5]],
         },
@@ -425,9 +426,7 @@ def pflueger_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     if g_max < 1:
         raise ValueError("g_max must be >= 1; smaller bounds leave no "
                          "genus to check")
-    table = enumerate_tree(g_max, workers=workers,
-                           collectors={"ewt": EwtMaxCollector})
-    coll = table.extras["ewt"]
+    coll = collect(g_max, {"ewt": EwtMaxCollector}, workers=workers)["ewt"]
     violations = []
     rows = []
     for g in range(1, g_max + 1):

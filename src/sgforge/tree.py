@@ -15,11 +15,11 @@ is set), eff is the sorted tuple of effective generators, mem the sorted
 tuple of members up to the probes' reach (below), mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
-generator.  The walk tallies every node but the root into a
-:class:`CensusTable` through one block in its parent's loop, and hands the
-tuple itself to each collector.  Children with no admissible edge (at
-depth g_max, or with no effective generator within the edge bound), the
-ordinary child too, are visited there, with None for mem, never pushed.
+generator.  The walk tallies every node but the root into a table
+through one block in its parent's loop (:func:`collect` skips it), and
+hands the tuple itself to each collector.  Children with no admissible
+edge (at depth g_max, or with no effective generator within the edge
+bound), the ordinary child too, are visited there, never pushed.
 
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
@@ -47,8 +47,8 @@ the spine nodes' other children that have children of their own, the job
 roots.  Each removes some lam in (m, 2m) from a spine node, so its
 Frobenius number exceeds its multiplicity and no node of its subtree is
 ordinary: a walk from a job root descends everywhere and returns nothing.
-Every job walks into fresh collectors and ships back the cells it can
-count, whatever the worker count; a pool starts only for two processes up.
+Every job walks into fresh collectors and ships them back with the cells
+it counted, if any, whatever the worker count; a pool needs two processes.
 """
 
 from __future__ import annotations
@@ -276,21 +276,18 @@ class CensusTable:
                 slice(f + 1, None), slice(g1, None))
 
     def _part(self, spans: tuple[slice, ...]) -> tuple:
-        """The counters' cells within ``spans``, the witnesses and the
-        collectors."""
+        """The counters' cells within ``spans``, and the witnesses."""
         return ([getattr(self, name)[span]
                  for name, span in zip(_COUNTERS, spans)],
-                self.wilf_witnesses, self.extras)
+                self.wilf_witnesses)
 
     def _add_part(self, spans: tuple[slice, ...], part: tuple) -> None:
         """Add another table's ``_part(spans)`` in place, by offset."""
-        cells, witnesses, extras = part
+        cells, witnesses = part
         for name, span, values in zip(_COUNTERS, spans, cells):
             mine = getattr(self, name)
             mine[span] = map(add, mine[span], values)
         self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses, witnesses)
-        for name, coll in extras.items():
-            self.extras[name] = self.extras[name].merge(coll)
 
     def merge(self, other: "CensusTable") -> "CensusTable":
         """Pointwise sum of two tables from disjoint subtrees of the same run
@@ -303,6 +300,7 @@ class CensusTable:
                         **{name: list(getattr(self, name))
                            for name in _COUNTERS})
         total._add_part(_WHOLE, other._part(_WHOLE))
+        _merge_collectors(total.extras, other.extras)
         return total
 
     def counts_equal(self, other: "CensusTable") -> bool:
@@ -357,7 +355,8 @@ def _walk(root, g_max, lam_max, table, collectors=()):
     """Tally the descendants of ``root`` into ``table`` and return the jobs.
 
     Every node below ``root`` within depth g_max and edge bound lam_max is
-    tallied once, in its parent's loop (the caller tallies ``root``).
+    tallied once, in its parent's loop (the caller tallies ``root``), unless
+    ``table`` is None: one test per edge then skips the tally, not the jobs.
     Children with no admissible edge (at depth g_max, or with no effective
     generator <= lam_max) are handed to each collector there and never
     pushed.  An ordinary node (F < m) pushes only its ordinary child
@@ -367,15 +366,17 @@ def _walk(root, g_max, lam_max, table, collectors=()):
     but the job roots' subtrees, in pre-order, and a walk from a job root,
     which has no ordinary node below it, returns [].
     """
-    nmg = table.n_mg_flat
-    tgh = table.t_gh_flat
-    sgh = table.s_gh_flat
-    f2m = table.f_lt_2m
-    f3m = table.f_lt_3m
-    nsf = table.ns_flat
-    wilf_bad = table.wilf_violations
-    wilf_wit = table.wilf_witnesses
-    ns_cap = table.frobenius_cap
+    tally = table is not None
+    if tally:
+        nmg = table.n_mg_flat
+        tgh = table.t_gh_flat
+        sgh = table.s_gh_flat
+        f2m = table.f_lt_2m
+        f3m = table.f_lt_3m
+        nsf = table.ns_flat
+        wilf_bad = table.wilf_violations
+        wilf_wit = table.wilf_witnesses
+        ns_cap = table.frobenius_cap
     width = g_max + 1
     hw = g_max + 3
     lam_top = _lam_top(g_max, lam_max)
@@ -402,16 +403,11 @@ def _walk(root, g_max, lam_max, table, collectors=()):
             if lam > lam_max:
                 break
             x = m + lam
-            # The child keeps eff[i + 1:] and mg but lam, plus x if strong.
-            hc = h - i - 1
-            ec = e - 1
             strong = True
             if lam == m:
                 # Ordinary node: removing the multiplicity itself yields the
                 # next ordinary semigroup, which gains 2m + 1 as well.
                 mc = m + 1
-                hc += 1
-                ec += 1
             else:
                 mc = m
                 # core._is_strong, inlined and run over mem: a call per edge
@@ -424,30 +420,34 @@ def _walk(root, g_max, lam_max, table, collectors=()):
                     if (B >> (x - u)) & 1:
                         strong = False
                         break
-            if strong:
-                hc += 1
-                ec += 1
             # A child at depth g_max, or with no effective generator
             # (eff[i + 1:], plus x when strong) up to lam_max, has no
             # admissible edge: it is visited here and never pushed.
             leaf = last or (not (strong and x <= lam_max)
                             and (i + 1 == h or eff[i + 1] > lam_max))
-            # The one tally block, for the child (g1, mc, hc, ec, F = lam);
-            # lam < 2m also holds for the ordinary child, as lam = m.
-            nmg[mc * width + g1] += 1
-            tgh[g1 * hw + hc] += 1
-            if strong:
-                sgh[g1 * hw + hc] += 1
-            if lam < m2:
-                f2m[g1] += 1
-                f3m[g1] += 1
-            elif lam < m2 + m:
-                f3m[g1] += 1
-            if lam <= ns_cap:
-                nsf[lam] += 1
-            if lam + 1 > (lam + 1 - g1) * ec:
-                wilf_bad[g1] += 1
-                _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
+            if tally:
+                # The one tally block, for the child (g1, mc, hc, ec, F = lam):
+                # it keeps eff[i + 1:] and mg but lam, plus x if strong, plus
+                # 2m + 1 if ordinary (mc = m + 1, strong, and lam = m < 2m).
+                if strong:
+                    hc = h - i + mc - m
+                    ec = e + mc - m
+                    sgh[g1 * hw + hc] += 1
+                else:
+                    hc = h - i - 1
+                    ec = e - 1
+                nmg[mc * width + g1] += 1
+                tgh[g1 * hw + hc] += 1
+                if lam < m2:
+                    f2m[g1] += 1
+                    f3m[g1] += 1
+                elif lam < m2 + m:
+                    f3m[g1] += 1
+                if lam <= ns_cap:
+                    nsf[lam] += 1
+                if lam + 1 > (lam + 1 - g1) * ec:
+                    wilf_bad[g1] += 1
+                    _add_witness(wilf_wit, _gaps_of(B ^ (1 << lam), lam))
             if leaf and not collectors:
                 continue
             rest = eff[i + 1:]
@@ -486,14 +486,56 @@ def _walk(root, g_max, lam_max, table, collectors=()):
     return frontier
 
 
+def _merge_collectors(mine: dict, theirs: dict) -> None:
+    for name, coll in theirs.items():
+        mine[name] = mine[name].merge(coll)
+
+
 def _subtree_job(payload):
-    # Ships only the cells the subtree can touch; the calling process (which
-    # tallied the root) adds them in by offset with CensusTable._add_part.
+    # Ships its collectors and, unless the run counts nothing (ns_cap None),
+    # only the cells the subtree can touch, for CensusTable._add_part.
     frame, g_max, lam_max, ns_cap, factories = payload
-    table = CensusTable.empty(g_max, ns_cap)
-    table.extras = {name: make() for name, make in factories}
-    _walk(frame, g_max, lam_max, table, list(table.extras.values()))
-    return table._part(table._spans(frame))
+    extras = {name: make() for name, make in factories}
+    table = None if ns_cap is None else CensusTable.empty(g_max, ns_cap)
+    _walk(frame, g_max, lam_max, table, list(extras.values()))
+    return None if table is None else table._part(table._spans(frame)), extras
+
+
+def _run(g_max, collectors, frobenius_max, workers, count):
+    # Walk the spine from the root, into a table when ``count``, then every
+    # job, and merge their parts in job order; returns table and collectors.
+    if g_max < 0:
+        raise ValueError("g_max must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    lam_max = 3 * g_max + 3 if frobenius_max is None else frobenius_max
+    if lam_max < 0:
+        raise ValueError("frobenius_max must be nonnegative")
+    factories = sorted(collectors.items()) if collectors else []
+    extras = {name: make() for name, make in factories}
+    table = ns_cap = None
+    if count:
+        ns_cap = min(g_max, lam_max)
+        table = CensusTable.empty(g_max, ns_cap)
+        table.pruned = lam_max < 2 * g_max - 1     # F <= 2g - 1 at genus g
+        table.extras = extras
+        _tally_root(table)
+    frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
+                     list(extras.values()))
+    jobs = [(frame, g_max, lam_max, ns_cap, factories) for frame in frontier]
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    with ExitStack() as scope:
+        parts = map(_subtree_job, jobs)
+        if processes > 1:
+            from multiprocessing import get_context   # slow to import
+            pool = scope.enter_context(get_context().Pool(processes=processes))
+            # imap keeps the job order, and merging overlaps the running jobs.
+            parts = pool.imap(_subtree_job, jobs)
+        for frame, (part, theirs) in zip(frontier, parts):
+            if count:
+                table._add_part(table._spans(frame), part)
+            _merge_collectors(extras, theirs)
+    return table, extras
 
 
 def enumerate_tree(
@@ -510,7 +552,7 @@ def enumerate_tree(
     are pruned, restricting the visited set to semigroups whose Frobenius
     number stays within the bound; counts other than ``ns()`` then
     describe that restricted universe, and ``pruned`` marks a bound below
-    2 * g_max - 1, which cuts some edge.
+    2 * g_max - 1, which cuts some edge.  A negative bound is an error.
 
     Every run walks the spine from the root, then merges its jobs' parts
     in job order.  ``workers`` decides only where the jobs run: on a pool
@@ -521,35 +563,20 @@ def enumerate_tree(
     only while the benchmark and acceptance criterion 3 still pass it.
     ``collectors`` maps names to zero-argument factories producing
     per-job collector instances (module-level classes, so they survive
-    pickling), merged into ``extras`` afterwards.
+    pickling), merged into ``extras`` afterwards; :func:`collect` returns
+    the same collectors faster when the counts are not needed.
     """
-    if g_max < 0:
-        raise ValueError("g_max must be nonnegative")
-    if not 0 <= split_depth <= g_max:
+    if not 0 <= split_depth <= max(g_max, 0):
         raise ValueError("split_depth must lie in [0, g_max]")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    lam_max = frobenius_max if frobenius_max is not None else 3 * g_max + 3
-    table = CensusTable.empty(g_max, min(g_max, lam_max))
-    table.pruned = lam_max < 2 * g_max - 1     # F <= 2g - 1 at genus g
-    _tally_root(table)
-    factories = sorted(collectors.items()) if collectors else []
-    table.extras = {name: make() for name, make in factories}
-    frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
-                     list(table.extras.values()))
-    jobs = [(frame, g_max, lam_max, table.frobenius_cap, factories)
-            for frame in frontier]
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
-    with ExitStack() as scope:
-        parts = map(_subtree_job, jobs)
-        if processes > 1:
-            from multiprocessing import get_context   # slow to import
-            pool = scope.enter_context(get_context().Pool(processes=processes))
-            # imap keeps the job order, and merging overlaps the running jobs.
-            parts = pool.imap(_subtree_job, jobs)
-        for frame, part in zip(frontier, parts):
-            table._add_part(table._spans(frame), part)
-    return table
+    return _run(g_max, collectors, frobenius_max, workers, True)[0]
+
+
+def collect(g_max: int, collectors: Mapping[str, Callable[[], Collector]], *,
+            frobenius_max: int | None = None, workers: int = 1) -> dict:
+    """``enumerate_tree(g_max, ...).extras`` for the same arguments, with
+    no count: the same walk and jobs visit the same nodes in the same
+    order, but no node is tallied and a job ships only its collectors."""
+    return _run(g_max, collectors, frobenius_max, workers, False)[1]
 
 
 def ns_by_frobenius(f_max: int, *, workers: int = 1) -> dict[int, int]:

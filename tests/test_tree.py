@@ -130,8 +130,8 @@ def job_table(frame, g_max, lam_max, ns_cap):
     from sgforge.tree import CensusTable, _subtree_job
 
     table = CensusTable.empty(g_max, ns_cap)
-    table._add_part(table._spans(frame),
-                    _subtree_job((frame, g_max, lam_max, ns_cap, ())))
+    part, _ = _subtree_job((frame, g_max, lam_max, ns_cap, ()))
+    table._add_part(table._spans(frame), part)
     return table
 
 
