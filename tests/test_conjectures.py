@@ -8,9 +8,11 @@ import pytest
 
 import sgforge as sf
 from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
-                                 ConcentrationCollector, EwtMaxCollector)
+                                 ConcentrationCollector, EwtMaxCollector,
+                                 OrdinarizationCollector,
+                                 StrongClassCollector)
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
-from test_tree import brute_force_gapsets
+from test_tree import FIG1, brute_force_gapsets
 
 
 class TestWilf:
@@ -364,6 +366,19 @@ class TestIncrementalCollectors:
         assert coll.wrong == 0
         assert sorted(coll.orphans) == self._expected_orphans()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
+                             ids=["ewt", "sumset"])
+    def test_edge_update_equals_scratch_through_collect(self, audit,
+                                                         workers):
+        # The collector-only walk visits the same nodes in the same order,
+        # so the same nodes start from scratch.
+        coll = sf.collect(self.G_MAX, {"audit": audit},
+                          workers=workers)["audit"]
+        assert coll.nodes == sum(FIG1[:self.G_MAX + 1]) == 4107
+        assert coll.wrong == 0
+        assert sorted(coll.orphans) == self._expected_orphans()
+
     @pytest.mark.parametrize("audit", [EwtAudit, SumsetAudit],
                              ids=["ewt", "sumset"])
     def test_near_parent_is_not_reused(self, audit):
@@ -387,6 +402,62 @@ class TestIncrementalCollectors:
         assert children.total() > 100
         assert coll.wrong == 0
         assert not children - Counter(coll.orphans)
+
+
+# Every stock collector, each walk carrying all five at once.
+STOCK = {"strong": StrongClassCollector,
+         "ordinarization": OrdinarizationCollector,
+         "buchweitz": BuchweitzCollector, "ewt": EwtMaxCollector,
+         "concentration": partial(ConcentrationCollector, 0.5)}
+
+
+def public_state(coll):
+    return {k: v for k, v in vars(coll).items() if not k.startswith("_")}
+
+
+class TestCollect:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bound", [None, 1, 3, "2g+1"])
+    def test_equals_enumerate_tree_extras(self, bound, workers):
+        # collect() runs the same walk and jobs with no table, so every
+        # stock collector ends in the state enumerate_tree leaves in extras,
+        # and Buchweitz's own totals are the table's nonzero N(g).
+        for g in range(13):
+            f_max = 2 * g + 1 if bound == "2g+1" else bound
+            table = sf.enumerate_tree(g, frobenius_max=f_max,
+                                      workers=workers, collectors=STOCK)
+            found = sf.collect(g, STOCK, frobenius_max=f_max,
+                               workers=workers)
+            assert list(found) == list(table.extras) == sorted(STOCK)
+            for name, coll in found.items():
+                assert type(coll) is type(table.extras[name])
+                assert public_state(coll) \
+                    == public_state(table.extras[name]), (g, f_max, name)
+            assert found["buchweitz"].totals \
+                == {h: n for h, n in enumerate(table.n_of_g) if n}
+
+    def test_no_collectors(self):
+        assert sf.collect(9, {}) == {}
+
+    @pytest.mark.parametrize("g_max,workers", [(-1, 1), (5, 0)])
+    def test_bad_arguments(self, g_max, workers):
+        # A negative frobenius_max: TestValidation in test_tree.py.
+        with pytest.raises(ValueError):
+            sf.collect(g_max, STOCK, workers=workers)
+
+    def test_sweeps_count_nothing(self, monkeypatch):
+        # The four collector sweeps never build a census table.
+        from sgforge import conjectures
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a collector sweep built a census table")
+
+        monkeypatch.setattr(conjectures, "enumerate_tree", no_table)
+        monkeypatch.setattr(sf.tree.CensusTable, "empty", no_table)
+        assert sf.pflueger_sweep(9, workers=2).ok
+        assert sf.ordinarization_sweep(9).ok
+        assert sf.buchweitz_sweep(9).stats["totals"][9] == 118
+        assert sf.zhai_sweep(9).ok
 
 
 class TestPflueger:

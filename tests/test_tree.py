@@ -75,6 +75,12 @@ class GapSetCollector:
         return self
 
 
+class NodeLog:
+    # Appends every node it visits to a list, in visiting order.
+    def __init__(self, nodes):
+        self.visit = nodes.append
+
+
 class NoopCollector:
     # Any collector makes the walk build (and visit) the childless children
     # it tallies in the parent's loop; a no-op one prices only that.
@@ -720,6 +726,23 @@ class TestDeterminism:
             assert _walk(frame, g_max, lam_max,
                          CensusTable.empty(g_max, cap)) == [], frame[1:4]
 
+    @pytest.mark.parametrize("g_max,f_max", [(0, None), (2, None), (14, None),
+                                             (24, None), (14, 9), (16, 20)])
+    def test_walk_without_a_table_returns_the_same_jobs(self, g_max, f_max):
+        # With no table the walk skips only the tally: the same job roots,
+        # in the same order, and the same nodes visited on the way.
+        from sgforge.tree import CensusTable, _root_frame, _walk
+
+        lam_max = 3 * g_max + 3 if f_max is None else f_max
+        root = _root_frame(g_max)
+        counted, bare = [], []
+        frames = _walk(root, g_max, lam_max,
+                       CensusTable.empty(g_max, min(g_max, lam_max)),
+                       [NodeLog(counted)])
+        assert _walk(root, g_max, lam_max, None, [NodeLog(bare)]) == frames
+        assert _walk(root, g_max, lam_max, None) == frames
+        assert bare == counted
+
     @pytest.mark.parametrize("g_max", [0, 1, 2])
     def test_no_pool_without_jobs(self, monkeypatch, g_max):
         # Up to genus 2 every off-spine child of the spine is childless, so
@@ -805,6 +828,19 @@ class TestValidation:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             sf.enumerate_tree(-1)
+
+    @pytest.mark.parametrize("f_max", [-1, -3])
+    def test_negative_frobenius_bound(self, f_max):
+        # A negative bound once gave a table with frobenius_cap < 0.
+        with pytest.raises(ValueError, match="frobenius_max"):
+            sf.enumerate_tree(5, frobenius_max=f_max)
+        with pytest.raises(ValueError, match="frobenius_max"):
+            sf.collect(5, {}, frobenius_max=f_max)
+
+    def test_zero_frobenius_bound_visits_the_root_alone(self):
+        table = sf.enumerate_tree(5, frobenius_max=0)
+        assert table.n_of_g == [1, 0, 0, 0, 0, 0]
+        assert table.frobenius_cap == 0 and table.pruned
 
     def test_wilf_counters_clean(self, census16):
         assert sum(census16.wilf_violations) == 0
