@@ -47,8 +47,9 @@ the spine nodes' other children that have children of their own, the job
 roots.  Each removes some lam in (m, 2m) from a spine node, so its
 Frobenius number exceeds its multiplicity and no node of its subtree is
 ordinary: a walk from a job root descends everywhere and returns nothing.
-Every job walks into fresh collectors and ships them back with the cells
-it counted, if any, whatever the worker count; a pool needs two processes.
+Every job walks into fresh collectors and ships them back, with the cells
+it counted unless the run counts nothing, whatever the worker count; a
+pool starts only for two processes up.
 """
 
 from __future__ import annotations
