@@ -38,8 +38,6 @@ from .kunz import (
     semigroup_from_kunz,
 )
 from .formulas import (
-    AkFamily,
-    AkMember,
     count_f_lt_2m,
     enumerate_Ak,
     fibonacci,
@@ -57,7 +55,6 @@ from .conjectures import (
     concentration_sweep,
     gap_sumset_size,
     kunz_oracle_sweep,
-    ns_parity_rows,
     ordinarization_census,
     ordinarization_number,
     ordinarization_sweep,
@@ -77,8 +74,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AkFamily",
-    "AkMember",
     "CensusTable",
     "Collector",
     "GeneratorTag",
@@ -111,7 +106,6 @@ __all__ = [
     "kunz_vector",
     "kunz_vectors",
     "ns_by_frobenius",
-    "ns_parity_rows",
     "ordinarization_census",
     "ordinarization_number",
     "ordinarization_sweep",

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import NumericalSemigroup, _from_gap_mask, _sumset
 from .errors import AlreadyOrdinary, IncompleteCensus
@@ -28,14 +27,13 @@ PHI = (1 + math.sqrt(5)) / 2
 GAMMA = (5 + math.sqrt(5)) / 10
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one named sweep over a parameter range."""
 
     name: str
     params: dict
-    violations: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    violations: list
+    stats: dict
 
     @property
     def ok(self) -> bool:
@@ -505,17 +503,6 @@ def concentration_sweep(g_max: int, eps: float, *,
     return concentration_stats(table)
 
 
-def ns_parity_rows(counts: dict[int, int]) -> list[tuple[int, int, int]]:
-    """Rows (k, ns(2k - 1), ns(2k)) splitting the Frobenius census by parity.
-
-    The interleaved ns sequence is not monotone, but each parity column
-    grows steadily; a missing even endpoint is reported as 0.
-    """
-    f_max = max(counts) if counts else 0
-    return [(k, counts.get(2 * k - 1, 0), counts.get(2 * k, 0))
-            for k in range(1, f_max // 2 + f_max % 2 + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Growth ratios and monotonicity
 
@@ -648,8 +635,7 @@ def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> Verificati
 # ---------------------------------------------------------------------------
 # The ``sgforge verify`` names
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """One ``sgforge verify`` name.  ``run(bound, workers)`` returns its
     report; the bound limits the genus, or the Frobenius number for
     zhai-lemma.  ``rows`` turns the report's stats into CSV rows under

@@ -15,7 +15,6 @@ share between threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 from operator import sub
@@ -48,18 +47,22 @@ class GeneratorTag(NamedTuple):
         return self.strength is not Strength.NOT_EFFECTIVE
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
     """Weakly decreasing positive parts read off a semigroup's lattice path."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ps = self.parts
-        if ps and min(ps) <= 0:
+    def __new__(cls, parts: tuple[int, ...]):
+        if parts and min(parts) <= 0:
             raise ValueError("partition parts must be positive")
-        if list(ps) != sorted(ps, reverse=True):
+        if list(parts) != sorted(parts, reverse=True):
             raise ValueError("partition parts must be weakly decreasing")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, values):
+        # _replace builds its copy here: keep it on the checked path.
+        return cls(*values)
 
     @property
     def size(self) -> int:

@@ -8,7 +8,6 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .core import _sumset
@@ -54,26 +53,9 @@ def count_f_lt_2m(g: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AkMember:
-    """One subset A of [0, k-1] with 0 in A and k not in A + A."""
-
-    elements: tuple[int, ...]
-    size: int
-    sumset_hits: int      # |(A + A) ∩ [0, k]|
-
-
-@dataclass(frozen=True)
-class AkFamily:
-    k: int
-    members: tuple[AkMember, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def enumerate_Ak(k: int) -> AkFamily:
-    """All subsets A of [0, k-1] containing 0 whose doubling avoids k.
+def enumerate_Ak(k: int) -> list[tuple[int, ...]]:
+    """All subsets A of [0, k-1] containing 0 whose doubling avoids k, as
+    sorted element tuples in lexicographic order.
 
     The constraint "k not in A + A" forbids k/2 (when k is even) and allows
     at most one element from each pair {i, k - i}; the family is the product
@@ -83,21 +65,10 @@ def enumerate_Ak(k: int) -> AkFamily:
     if k < 1:
         raise OutOfRange("k must be positive")
     pairs = [(i, k - i) for i in range(1, (k + 1) // 2)]
-    members = []
-    window = (1 << (k + 1)) - 1
-    for choice in product((None, 0, 1), repeat=len(pairs)):
-        elems = [0]
-        for (lo, hi), pick in zip(pairs, choice):
-            if pick == 0:
-                elems.append(lo)
-            elif pick == 1:
-                elems.append(hi)
-        elems.sort()
-        sums = _sumset(sum(1 << a for a in elems))
-        members.append(AkMember(tuple(elems), len(elems),
-                                (sums & window).bit_count()))
-    members.sort(key=lambda mem: mem.elements)
-    return AkFamily(k, tuple(members))
+    return sorted(
+        tuple(sorted([0] + [pair[pick] for pair, pick in zip(pairs, choice)
+                            if pick is not None]))
+        for choice in product((None, 0, 1), repeat=len(pairs)))
 
 
 def zhao_lower_bound(g: int) -> int:
@@ -115,8 +86,10 @@ def zhao_lower_bound(g: int) -> int:
         raise OutOfRange("g must be positive")
     total = fibonacci(g + 1)
     for k in range(1, g // 3 + 1):
-        for mem in enumerate_Ak(k).members:
-            total += fibonacci(g - mem.sumset_hits + mem.size - k - 1)
+        window = (1 << (k + 1)) - 1
+        for elems in enumerate_Ak(k):
+            hits = (_sumset(sum(1 << a for a in elems)) & window).bit_count()
+            total += fibonacci(g - hits + len(elems) - k - 1)
     return total
 
 

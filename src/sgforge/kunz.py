@@ -10,29 +10,33 @@ g counts N(m, g) without the semigroup tree: one flat backtracking loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import NumericalSemigroup, _from_gap_mask, _positive_ints
 from .errors import (DimensionMismatch, InvalidKunz, MultiplicityOne,
                      PreconditionViolated)
 
 
-@dataclass(frozen=True)
-class KunzVector:
+class KunzVector(NamedTuple("KunzVector", [("m", int),
+                                             ("coords", tuple[int, ...])])):
     """Coordinates (k_1, ..., k_{m-1}) of a multiplicity-m semigroup."""
 
-    m: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __new__(cls, m: int, coords: tuple[int, ...]):
+        if m < 2:
             raise MultiplicityOne("Kunz coordinates need multiplicity >= 2")
-        if len(self.coords) != self.m - 1:
+        if len(coords) != m - 1:
             raise DimensionMismatch(
-                f"multiplicity {self.m} needs {self.m - 1} coordinates, "
-                f"got {len(self.coords)}"
+                f"multiplicity {m} needs {m - 1} coordinates, "
+                f"got {len(coords)}"
             )
+        return super().__new__(cls, m, coords)
+
+    @classmethod
+    def _make(cls, values):
+        # _replace builds its copy here: keep it on the checked path.
+        return cls(*values)
 
     @property
     def genus(self) -> int:

@@ -57,9 +57,8 @@ from __future__ import annotations
 import os
 from bisect import insort
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
 from operator import add
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, NamedTuple, Protocol
 
 from .core import (GeneratorTag, NumericalSemigroup, Strength, _bits,
                    _from_gap_mask)
@@ -158,10 +157,8 @@ class Collector(Protocol):
 # Every counter list of a CensusTable; merging adds them pointwise.
 _COUNTERS = ("n_mg_flat", "t_gh_flat", "s_gh_flat", "f_lt_2m", "f_lt_3m",
              "ns_flat", "wilf_violations")
-_WHOLE = (slice(None),) * len(_COUNTERS)
 
 
-@dataclass
 class CensusTable:
     """Mergeable counters produced by one (sub)tree walk.
 
@@ -181,32 +178,21 @@ class CensusTable:
     a semigroup's genus never exceeds its Frobenius number.
     """
 
-    g_max: int
-    frobenius_cap: int
-    f_lt_2m: list[int]
-    f_lt_3m: list[int]
-    wilf_violations: list[int]
-    wilf_witnesses: list[tuple[int, ...]]
-    n_mg_flat: list[int]
-    t_gh_flat: list[int]
-    s_gh_flat: list[int]
-    ns_flat: list[int]
-    extras: dict = field(default_factory=dict)
-    pruned: bool = False       # a Frobenius bound cut some edge
-
-    @classmethod
-    def empty(cls, g_max: int, frobenius_cap: int) -> "CensusTable":
+    def __init__(self, g_max: int, frobenius_cap: int):
         width = g_max + 1
         gh = width * (g_max + 3)              # efficacy h <= g + 1
-        return cls(
-            g_max=g_max, frobenius_cap=frobenius_cap,
-            f_lt_2m=[0] * width, f_lt_3m=[0] * width,
-            wilf_violations=[0] * width,
-            wilf_witnesses=[],
-            n_mg_flat=[0] * ((g_max + 2) * width),  # multiplicity <= g + 1
-            t_gh_flat=[0] * gh, s_gh_flat=[0] * gh,
-            ns_flat=[0] * (frobenius_cap + 1),
-        )
+        self.g_max = g_max
+        self.frobenius_cap = frobenius_cap
+        self.f_lt_2m = [0] * width
+        self.f_lt_3m = [0] * width
+        self.wilf_violations = [0] * width
+        self.wilf_witnesses = []
+        self.n_mg_flat = [0] * ((g_max + 2) * width)  # multiplicity <= g + 1
+        self.t_gh_flat = [0] * gh
+        self.s_gh_flat = [0] * gh
+        self.ns_flat = [0] * (frobenius_cap + 1)
+        self.extras = {}
+        self.pruned = False       # a Frobenius bound cut some edge
 
     # -- accessors ---------------------------------------------------------
 
@@ -289,20 +275,6 @@ class CensusTable:
             mine = getattr(self, name)
             mine[span] = map(add, mine[span], values)
         self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses, witnesses)
-
-    def merge(self, other: "CensusTable") -> "CensusTable":
-        """Pointwise sum of two tables from disjoint subtrees of the same run
-        (same depth bound, Frobenius cap and collector names)."""
-        if ((self.g_max, self.frobenius_cap, self.pruned, self.extras.keys())
-                != (other.g_max, other.frobenius_cap, other.pruned,
-                    other.extras.keys())):
-            raise ValueError("cannot merge tables from different runs")
-        total = replace(self, extras=dict(self.extras),
-                        **{name: list(getattr(self, name))
-                           for name in _COUNTERS})
-        total._add_part(_WHOLE, other._part(_WHOLE))
-        _merge_collectors(total.extras, other.extras)
-        return total
 
     def counts_equal(self, other: "CensusTable") -> bool:
         return all(getattr(self, name) == getattr(other, name)
@@ -487,17 +459,12 @@ def _walk(root, g_max, lam_max, table, collectors=()):
     return frontier
 
 
-def _merge_collectors(mine: dict, theirs: dict) -> None:
-    for name, coll in theirs.items():
-        mine[name] = mine[name].merge(coll)
-
-
 def _subtree_job(payload):
     # Ships its collectors and, unless the run counts nothing (ns_cap None),
     # only the cells the subtree can touch, for CensusTable._add_part.
     frame, g_max, lam_max, ns_cap, factories = payload
     extras = {name: make() for name, make in factories}
-    table = None if ns_cap is None else CensusTable.empty(g_max, ns_cap)
+    table = None if ns_cap is None else CensusTable(g_max, ns_cap)
     _walk(frame, g_max, lam_max, table, list(extras.values()))
     return None if table is None else table._part(table._spans(frame)), extras
 
@@ -517,7 +484,7 @@ def _run(g_max, collectors, frobenius_max, workers, count):
     table = ns_cap = None
     if count:
         ns_cap = min(g_max, lam_max)
-        table = CensusTable.empty(g_max, ns_cap)
+        table = CensusTable(g_max, ns_cap)
         table.pruned = lam_max < 2 * g_max - 1     # F <= 2g - 1 at genus g
         table.extras = extras
         _tally_root(table)
@@ -535,7 +502,8 @@ def _run(g_max, collectors, frobenius_max, workers, count):
         for frame, (part, theirs) in zip(frontier, parts):
             if count:
                 table._add_part(table._spans(frame), part)
-            _merge_collectors(extras, theirs)
+            for name, coll in theirs.items():
+                extras[name] = extras[name].merge(coll)
     return table, extras
 
 
@@ -606,8 +574,7 @@ def descent_strength(parent: NumericalSemigroup, lam: int) -> Strength:
     return Strength.STRONG if strong else Strength.WEAK
 
 
-@dataclass(frozen=True)
-class StrongCensus:
+class StrongCensus(NamedTuple):
     by_genus: tuple[int, ...]
     by_genus_efficacy: dict[tuple[int, int], int]
     r: dict[int, int]

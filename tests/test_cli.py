@@ -4,7 +4,6 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -265,7 +264,7 @@ class TestVerify:
                                       [{"gaps": [1, 2, 5]}], {})
 
         monkeypatch.setitem(conjectures.SWEEPS, "wilf",
-                            replace(conjectures.SWEEPS["wilf"], run=fake_run))
+                            conjectures.SWEEPS["wilf"]._replace(run=fake_run))
         code, out, err = run_cli(capsys, "verify", "wilf", "--max-genus", "5",
                                  "--workers", "1")
         assert code == 2
@@ -404,6 +403,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.endswith("5,12\n")
 
+    def test_start_up_imports_no_dataclasses(self):
+        # dataclasses would pull inspect, ast, dis and tokenize into every
+        # start; the records are named tuples and CensusTable a plain class.
+        code = ("import sys, sgforge, sgforge.cli\n"
+                "sgforge.cli.main(['count', '--max-genus', '3'])\n"
+                "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("3,4\n[]\n")
+
     def test_missing_subcommand_exits_one(self):
         proc = subprocess.run([sys.executable, "-m", "sgforge.cli"],
                               capture_output=True, text=True)
@@ -476,7 +486,7 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "enumerate_tree", no_walk)
         monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
-                            replace(conjectures.SWEEPS["pflueger"], run=no_walk))
+                            conjectures.SWEEPS["pflueger"]._replace(run=no_walk))
         err = one_line_error(capsys, *command, "--output", str(tmp_path))
         assert str(tmp_path) in err
         assert tmp_path.is_dir()
@@ -495,7 +505,7 @@ class TestUsageErrors:
         # The path is tried before the walk, so a bad one costs no sweep.
         monkeypatch.setattr(cli, "enumerate_tree", no_walk)
         monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
-                            replace(conjectures.SWEEPS["pflueger"], run=no_walk))
+                            conjectures.SWEEPS["pflueger"]._replace(run=no_walk))
         path = tmp_path / "missing" / "x.csv"
         err = one_line_error(capsys, *command, "--output", str(path))
         assert str(path) in err

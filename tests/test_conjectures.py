@@ -351,7 +351,7 @@ class TestIncrementalCollectors:
 
         g = self.G_MAX
         root = _root_frame(g)
-        jobs = _walk(root, g, 3 * g + 3, CensusTable.empty(g, g),
+        jobs = _walk(root, g, 3 * g + 3, CensusTable(g, g),
                      [EwtMaxCollector()])
         return sorted(frame[0] for frame in [root, *jobs])
 
@@ -453,7 +453,7 @@ class TestCollect:
             raise AssertionError("a collector sweep built a census table")
 
         monkeypatch.setattr(conjectures, "enumerate_tree", no_table)
-        monkeypatch.setattr(sf.tree.CensusTable, "empty", no_table)
+        monkeypatch.setattr(sf.tree.CensusTable, "__init__", no_table)
         assert sf.pflueger_sweep(9, workers=2).ok
         assert sf.ordinarization_sweep(9).ok
         assert sf.buchweitz_sweep(9).stats["totals"][9] == 118
@@ -544,16 +544,6 @@ class TestConcentration:
         assert stats[14]["m_over_g"] <= stats[20]["m_over_g"]
 
 
-class TestNsParity:
-    def test_rows_and_monotone_columns(self):
-        rows = sf.ns_parity_rows(sf.ns_by_frobenius(12))
-        assert rows[0] == (1, 1, 1)
-        assert rows[2] == (3, 5, 4)        # the first interleaved drop
-        odd = [r[1] for r in rows]
-        even = [r[2] for r in rows]
-        assert odd == sorted(odd) and even == sorted(even)
-
-
 class TestRatioReport:
     def test_reference_ratios(self, census16):
         report = sf.ratio_report(census16)
@@ -601,8 +591,6 @@ class TestPrunedCensus:
         if census.pruned:
             with pytest.raises(ValueError, match="pruned"):
                 run(census)
-            with pytest.raises(ValueError, match="different runs"):
-                full.merge(census)
         else:
             assert census.counts_equal(full)
             assert run(census).ok

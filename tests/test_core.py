@@ -354,6 +354,8 @@ class TestWeightData:
             sf.Partition((1, 2))
         with pytest.raises(ValueError):
             sf.Partition((2, 0))
+        with pytest.raises(ValueError):
+            sf.Partition((2, 1))._replace(parts=(1, 2))
 
 
 class TestOrdinary:

@@ -87,10 +87,9 @@ class TestCountFLt2m:
 
 class TestAkFamilies:
     def test_tiny_families(self):
-        assert [m.elements for m in sf.enumerate_Ak(1).members] == [(0,)]
-        assert [m.elements for m in sf.enumerate_Ak(2).members] == [(0,)]
-        assert [m.elements for m in sf.enumerate_Ak(3).members] == \
-            [(0,), (0, 1), (0, 2)]
+        assert sf.enumerate_Ak(1) == [(0,)]
+        assert sf.enumerate_Ak(2) == [(0,)]
+        assert sf.enumerate_Ak(3) == [(0,), (0, 1), (0, 2)]
 
     def test_counts_follow_pair_structure(self):
         for k in range(1, 12):
@@ -99,12 +98,11 @@ class TestAkFamilies:
 
     def test_members_avoid_doubling(self):
         for k in range(1, 10):
-            for mem in sf.enumerate_Ak(k).members:
-                assert 0 in mem.elements
-                assert mem.size == len(mem.elements)
-                sums = {a + b for a in mem.elements for b in mem.elements}
-                assert k not in sums
-                assert mem.sumset_hits == len({s for s in sums if s <= k})
+            family = sf.enumerate_Ak(k)
+            assert family == sorted(family)
+            for a in family:
+                assert a[0] == 0 and list(a) == sorted(set(a))
+                assert k not in {x + y for x in a for y in a}
 
     def test_exhaustive_against_powerset(self):
         # Independent route: filter all subsets directly.
@@ -117,7 +115,7 @@ class TestAkFamilies:
                     a = (0,) + extra
                     if all(x + y != k for x in a for y in a):
                         expected.add(a)
-            got = {m.elements for m in sf.enumerate_Ak(k).members}
+            got = set(sf.enumerate_Ak(k))
             assert got == expected
 
 
@@ -133,9 +131,10 @@ class TestZhaoLowerBound:
         # A + A misses k and A holds 0, so the index is at least g - 2k.
         for g in range(1, 41):
             for k in range(1, g // 3 + 1):
-                for mem in sf.enumerate_Ak(k).members:
-                    idx = g - mem.sumset_hits + mem.size - k - 1
-                    assert idx >= max(1, g - 2 * k), (g, k, mem)
+                for a in sf.enumerate_Ak(k):
+                    hits = len({x + y for x in a for y in a if x + y <= k})
+                    idx = g - hits + len(a) - k - 1
+                    assert idx >= max(1, g - 2 * k), (g, k, a)
 
     def test_sandwich(self, census16):
         for g in range(1, 17):

@@ -75,6 +75,11 @@ class TestSatisfiesKunz:
             sf.satisfies_kunz(4, (1, 2))
         with pytest.raises(MultiplicityOne):
             sf.satisfies_kunz(1, ())
+        vec = sf.KunzVector(3, (1, 1))
+        with pytest.raises(DimensionMismatch):
+            vec._replace(m=4)
+        with pytest.raises(MultiplicityOne):
+            vec._replace(m=1, coords=())
 
     def test_characterizes_actual_vectors(self):
         # Every candidate vector is valid iff it round-trips to a semigroup

@@ -135,7 +135,7 @@ def job_table(frame, g_max, lam_max, ns_cap):
     """The whole CensusTable of one pool job, from the cells it ships."""
     from sgforge.tree import CensusTable, _subtree_job
 
-    table = CensusTable.empty(g_max, ns_cap)
+    table = CensusTable(g_max, ns_cap)
     part, _ = _subtree_job((frame, g_max, lam_max, ns_cap, ()))
     table._add_part(table._spans(frame), part)
     return table
@@ -228,7 +228,7 @@ def kunz_census(nodes, g_max, frobenius_max=None):
     """The CensusTable of a walk to g_max (and frobenius_max), tallied from
     ``nodes`` into the flat layout the CensusTable docstring gives."""
     f_max = 3 * g_max + 3 if frobenius_max is None else frobenius_max
-    table = sf.CensusTable.empty(g_max, min(g_max, f_max))
+    table = sf.CensusTable(g_max, min(g_max, f_max))
     width, hw = g_max + 1, g_max + 3
     witnesses = []
     for g, m, f, h, strong, k_max, wilf_holds, gaps in nodes:
@@ -544,23 +544,30 @@ class TestDeterminism:
         assert par.extras["gapsets"].by_genus == seq.extras["gapsets"].by_genus
 
     def test_merge_is_commutative_monoid_on_counts(self):
-        # Split at the spine by hand and recombine in both orders.  The
-        # spine walk tallies the job roots in their parents' loops, and
-        # each job only their descendants; the root is tallied apart.
-        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
+        # Split at the spine by hand and add the job parts back, as _run
+        # does, in both orders.  The spine walk tallies the job roots in
+        # their parents' loops, and each job only their descendants; the
+        # root is tallied apart.
+        from sgforge.tree import (CensusTable, _root_frame, _subtree_job,
+                                  _tally_root, _walk)
 
         g_max = 9
-        prefix = CensusTable.empty(g_max, g_max)
-        _tally_root(prefix)
-        frontier = _walk(_root_frame(g_max), g_max, 100, prefix)
-        parts = [job_table(f, g_max, 100, g_max) for f in frontier]
-        left = prefix
-        for p in parts:
-            left = left.merge(p)
-        right = prefix
-        for p in reversed(parts):
-            right = right.merge(p)
+
+        def spine():
+            table = CensusTable(g_max, g_max)
+            _tally_root(table)
+            return table, _walk(_root_frame(g_max), g_max, 100, table)
+
+        left, frontier = spine()
+        right, _ = spine()
+        jobs = [(f, _subtree_job((f, g_max, 100, g_max, ()))[0])
+                for f in frontier]
+        for frame, part in jobs:
+            left._add_part(left._spans(frame), part)
+        for frame, part in reversed(jobs):
+            right._add_part(right._spans(frame), part)
         assert left.counts_equal(right)
+        assert left.wilf_witnesses == right.wilf_witnesses
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
@@ -568,7 +575,7 @@ class TestDeterminism:
 
         g_max = 18
         lam_max = 3 * g_max + 3
-        spine = CensusTable.empty(g_max, g_max)
+        spine = CensusTable(g_max, g_max)
         _tally_root(spine)
         jobs = _walk(_root_frame(g_max), g_max, lam_max, spine)
         # The calling process tallies the root, the ordinary semigroups
@@ -595,8 +602,8 @@ class TestDeterminism:
         from sgforge.tree import CensusTable, _root_frame, _walk
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
-        plain = CensusTable.empty(g_max, g_max)
-        rich = CensusTable.empty(g_max, g_max)
+        plain = CensusTable(g_max, g_max)
+        rich = CensusTable(g_max, g_max)
         coll = GapSetCollector()
         root = _root_frame(g_max)
         jobs = _walk(root, g_max, lam_max, plain)
@@ -618,10 +625,10 @@ class TestDeterminism:
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         cap = min(g_max, lam_max)
         frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable.empty(g_max, cap))
+                       CensusTable(g_max, cap))
         assert frames
         for frame in frames:
-            whole = CensusTable.empty(g_max, cap)
+            whole = CensusTable(g_max, cap)
             _walk(frame, g_max, lam_max, whole)
             shipped = job_table(frame, g_max, lam_max, cap)
             assert shipped.counts_equal(whole), frame[1:4]
@@ -650,7 +657,7 @@ class TestDeterminism:
                     expected.append((child.genus, child.multiplicity,
                                      child.frobenius, child.gaps()))
         frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable.empty(g_max, min(g_max, lam_max)))
+                       CensusTable(g_max, min(g_max, lam_max)))
         got = [(f[1], f[2], f[3], sf.TreeFrame(f).gap_tuple())
                for f in frames]
         assert got == expected
@@ -720,11 +727,11 @@ class TestDeterminism:
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         cap = min(g_max, lam_max)
         frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable.empty(g_max, cap))
+                       CensusTable(g_max, cap))
         assert frames
         for frame in frames:
             assert _walk(frame, g_max, lam_max,
-                         CensusTable.empty(g_max, cap)) == [], frame[1:4]
+                         CensusTable(g_max, cap)) == [], frame[1:4]
 
     @pytest.mark.parametrize("g_max,f_max", [(0, None), (2, None), (14, None),
                                              (24, None), (14, 9), (16, 20)])
@@ -737,7 +744,7 @@ class TestDeterminism:
         root = _root_frame(g_max)
         counted, bare = [], []
         frames = _walk(root, g_max, lam_max,
-                       CensusTable.empty(g_max, min(g_max, lam_max)),
+                       CensusTable(g_max, min(g_max, lam_max)),
                        [NodeLog(counted)])
         assert _walk(root, g_max, lam_max, None, [NodeLog(bare)]) == frames
         assert _walk(root, g_max, lam_max, None) == frames
@@ -756,32 +763,18 @@ class TestDeterminism:
         table = sf.enumerate_tree(g_max, workers=2)
         assert table.counts_equal(sf.enumerate_tree(g_max))
 
-    def test_merge_rejects_tables_of_other_runs(self):
-        from sgforge.tree import CensusTable
-
-        def table(cap, *names):
-            t = CensusTable.empty(6, cap)
-            t.extras = {name: NoopCollector() for name in names}
-            return t
-
-        table(6, "a").merge(table(6, "a"))
-        for other in (table(5, "a"), table(6, "b"), table(6),
-                      table(6, "a", "b"), CensusTable.empty(7, 6)):
-            with pytest.raises(ValueError):
-                table(6, "a").merge(other)
-            with pytest.raises(ValueError):
-                other.merge(table(6, "a"))
-
-    def test_merged_witnesses_ignore_order(self, census16):
-        from dataclasses import replace
+    def test_merged_witnesses_ignore_order(self):
+        from sgforge.tree import _COUNTERS, CensusTable
 
         evens = [(1, k) for k in range(0, 30, 2)]
         odds = [(1, k) for k in range(1, 30, 2)]
-        a = replace(census16, wilf_witnesses=evens)
-        b = replace(census16, wilf_witnesses=odds)
         expected = [(1, k) for k in range(20)]
-        assert a.merge(b).wilf_witnesses == expected
-        assert b.merge(a).wilf_witnesses == expected
+        whole = (slice(None),) * len(_COUNTERS)
+        for mine, theirs in ((evens, odds), (odds, evens)):
+            table, other = CensusTable(6, 6), CensusTable(6, 6)
+            table.wilf_witnesses, other.wilf_witnesses = mine, theirs
+            table._add_part(whole, other._part(whole))
+            assert table.wilf_witnesses == expected
 
 
 # -- frames and contracts ------------------------------------------------------

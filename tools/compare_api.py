@@ -15,9 +15,14 @@ A case is one of:
   on the same grid but g <= 12 (<= 9); a tree without ``collect``
   answers with ``enumerate_tree(...).extras``, which ``collect`` must
   equal;
-- the ``to_json()`` bytes of every ``sgforge verify`` sweep and of
-  ``bounds_sweep``, at bounds 2, 9 and 14 (2 and 9) with ``workers`` 1
-  and 2, or the type and message of what a sweep raises there.
+- the ``to_json()`` bytes and the ``repr()`` of the report of every
+  ``sgforge verify`` sweep and of ``bounds_sweep``, at bounds 2, 9 and 14
+  (2 and 9) with ``workers`` 1 and 2, or the type and message of what a
+  sweep raises there;
+- the ``repr()`` of ``strongly_descended_census(enumerate_tree(g))`` on
+  the first grid, and of ``weight_data()`` and ``kunz_vector()`` of a few
+  fixed semigroups, so a change of record type that changes a repr
+  shows.
 
 It prints one SHA-256 per case (both, when they differ) and the number of
 cases that differ, and exits 1 if any does.  Needs only the standard
@@ -46,6 +51,11 @@ COLLECTORS = {
 }
 
 
+# Generator sets of the semigroups whose records are compared by repr.
+SEMIGROUPS = ((1,), (2, 3), (3, 5, 7), (4, 6, 9), (5, 7, 9, 11), (6, 9, 20),
+              (7, 8, 9, 10, 11, 12, 13))
+
+
 def grid(smoke: bool) -> dict:
     return {"genera": range(10 if smoke else 17),
             "collector_genera": range(10 if smoke else 13),
@@ -61,6 +71,14 @@ def canonical(value) -> str:
         inner = ", ".join(canonical(v) for v in value)
         return f"[{inner}]" if isinstance(value, list) else f"({inner})"
     return repr(value)
+
+
+def shown(call) -> str:
+    """``repr(call())``, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:        # compared like a result
+        return f"{type(exc).__name__}: {exc}"
 
 
 def frobenius_bounds(g: int) -> tuple:
@@ -81,6 +99,13 @@ def side_cases(smoke: bool):
                 for name in COUNTERS:
                     yield (f"enumerate_tree g={g} F={f_max} w={workers} "
                            f"{name}", canonical(getattr(table, name)))
+        yield (f"strongly_descended_census g={g}",
+               shown(lambda: sf.strongly_descended_census(
+                   sf.enumerate_tree(g))))
+    for gens in SEMIGROUPS:
+        sg = sf.from_generators(gens)
+        yield f"weight_data {gens}", shown(sg.weight_data)
+        yield f"kunz_vector {gens}", shown(lambda: sf.kunz_vector(sg))
     stock = {name: getattr(conjectures, cls) for name, (cls, _)
              in COLLECTORS.items()}
     stock["concentration"] = partial(stock["concentration"], 0.5)
@@ -103,11 +128,14 @@ def side_cases(smoke: bool):
     for name, run in sweeps.items():
         for bound in sizes["sweep_bounds"]:
             for workers in (1, 2):
+                case = f"sweep {name} bound={bound} w={workers}"
                 try:
-                    text = json.dumps(run(bound, workers).to_json())
+                    report = run(bound, workers)
                 except Exception as exc:    # compared like a result
-                    text = f"{type(exc).__name__}: {exc}"
-                yield f"sweep {name} bound={bound} w={workers}", text
+                    yield case, f"{type(exc).__name__}: {exc}"
+                    continue
+                yield case, json.dumps(report.to_json())
+                yield f"{case} repr", repr(report)
 
 
 def run_side(src: str, smoke: bool) -> dict[str, str]:
