@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import os
+import stat
 import sys
 from typing import Sequence
 
@@ -154,15 +155,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = commands[args.command](args, out)
         if target is not None and code != 1:
-            target.truncate(0)
+            # Only a regular file can be truncated; seekable() is also
+            # True for /dev/null and /dev/full.
+            if stat.S_ISREG(os.fstat(target.fileno()).st_mode):
+                target.truncate(0)
             target.write(out.getvalue())
+            target.flush()
         return code
-    except (SemigroupError, ValueError, OverflowError) as exc:
+    except (SemigroupError, OSError, ValueError, OverflowError) as exc:
+        code = 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if target is not None:
-            target.close()
+            try:
+                target.close()
+            except OSError:     # the failed flush, reported above
+                pass
             if code == 1 and not existed:
                 os.remove(args.output)
 

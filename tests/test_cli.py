@@ -1,6 +1,7 @@
 """Command-line surface: tables, records, verify sweeps, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -122,6 +123,28 @@ class TestCount:
                              "--output", str(target))
         assert code == 0
         assert target.read_text() == "genus,count\n0,1\n1,1\n2,2\n"
+
+    def test_output_to_devnull(self, capsys):
+        # A device cannot be truncated, so only a regular file is.
+        code, out, err = run_cli(capsys, "count", "--max-genus", "3",
+                                 "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_write_is_one_line_error(self, capsys):
+        err = one_line_error(capsys, "count", "--max-genus", "3",
+                             "--output", "/dev/full")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    def test_output_to_stdout_pipe(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgforge.cli", "count", "--max-genus", "2",
+             "--output", "/dev/stdout"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "genus,count\n0,1\n1,1\n2,2\n", "")
 
     def test_deterministic_across_configs(self, capsys):
         outputs = set()
@@ -471,6 +494,20 @@ class TestUsageErrors:
                                                    command):
         target = tmp_path / "new.csv"
         one_line_error(capsys, *command, "--output", str(target))
+        assert not target.exists()
+
+    def test_os_error_of_the_command_removes_its_file(self, capsys,
+                                                      monkeypatch, tmp_path):
+        from sgforge import cli
+
+        def failing_walk(*args, **kwargs):
+            raise OSError("walk failed")
+
+        monkeypatch.setattr(cli, "enumerate_tree", failing_walk)
+        target = tmp_path / "new.csv"
+        err = one_line_error(capsys, "count", "--max-genus", "3",
+                             "--output", str(target))
+        assert err == "error: walk failed\n"
         assert not target.exists()
 
     @pytest.mark.parametrize("command", [

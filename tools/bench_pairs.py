@@ -46,8 +46,10 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             smoke: bool) -> dict:
-    """One benchmark run in ``tree``: its metrics as {name: value}."""
+             smoke: bool = False) -> tuple[dict, dict]:
+    """One benchmark run in ``tree``: its last ``record`` line and its JSON
+    result.  Raises RuntimeError if the run fails, prints no result or
+    fails a check."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     if smoke:
@@ -55,13 +57,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
                           timeout=10 * seconds + 120)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"run.py exited {proc.returncode}")
+    records = [line[len("record "):] for line in lines
+               if line.startswith("record ")]
+    if proc.returncode != 0 or not records or not lines[-1].startswith("{"):
+        raise RuntimeError(f"run.py exited {proc.returncode} without a result")
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{result['failed']} of {result['attempted']} "
                            "checks failed")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return json.loads(records[-1]), result
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -118,13 +122,15 @@ def main(argv=None) -> int:
             for workload in workloads:
                 for side in order:
                     try:
-                        values = run_once(sides[side], workload, pair,
-                                          seconds, args.smoke)
+                        _, result = run_once(sides[side], workload, pair,
+                                             seconds, args.smoke)
                     except (RuntimeError, subprocess.SubprocessError,
                             json.JSONDecodeError) as exc:
                         print(f"error: pair {pair} {workload} {side}: {exc}",
                               file=sys.stderr)
                         return 1
+                    values = {k: v["value"]
+                              for k, v in result["metrics"].items()}
                     runs[side, workload].append(values)
                     print(f"pair {pair} {workload} {side}: " + ", ".join(
                         f"{k} {v:.4g}" for k, v in values.items()),
