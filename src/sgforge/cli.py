@@ -81,12 +81,10 @@ def _render_table(headers: Sequence[str], rows: list[tuple], fmt: str) -> str:
 def _cmd_count(args, out) -> int:
     g_max = args.max_genus
     if g_max < 0:
-        print("error: --max-genus must be nonnegative", file=sys.stderr)
-        return 1
+        raise ValueError("--max-genus must be nonnegative")
     if args.by == "frobenius":
         if g_max < 1:
-            print("error: frobenius counts need --max-genus >= 1", file=sys.stderr)
-            return 1
+            raise ValueError("frobenius counts need --max-genus >= 1")
         counts = ns_by_frobenius(g_max, workers=args.workers)
         rows = sorted(counts.items())
         text = _render_table(["F", "count"], rows, args.format)
@@ -153,19 +151,19 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout if target is None else io.StringIO()
     code = 1
     try:
-        code = commands[args.command](args, out)
-        if target is not None and code != 1:
+        status = commands[args.command](args, out)
+        if target is not None:
             # Only a regular file can be truncated; seekable() is also
             # True for /dev/null and /dev/full.
             if stat.S_ISREG(os.fstat(target.fileno()).st_mode):
                 target.truncate(0)
             target.write(out.getvalue())
             target.flush()
-        return code
+        code = status
     except (SemigroupError, OSError, ValueError, OverflowError) as exc:
-        code = 1
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
     finally:
         if target is not None:
             try:
@@ -174,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                 pass
             if code == 1 and not existed:
                 os.remove(args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -96,7 +96,7 @@ def wilf_sweep(g_max: int, *, workers: int = 1,
     violations = [
         {"gaps": list(gaps),
          "generators": list(NumericalSemigroup(gaps).min_generators)}
-        for gaps in census.wilf_witnesses
+        for gaps in census.wilf_witnesses if len(gaps) <= g_max
     ]
     per_genus = {g: c for g, c in enumerate(census.wilf_violations[: g_max + 1]) if c}
     if per_genus and not violations:

@@ -47,9 +47,9 @@ the spine nodes' other children that have children of their own, the job
 roots.  Each removes some lam in (m, 2m) from a spine node, so its
 Frobenius number exceeds its multiplicity and no node of its subtree is
 ordinary: a walk from a job root descends everywhere and returns nothing.
-Every job walks into fresh collectors and ships them back, with the cells
-it counted unless the run counts nothing, whatever the worker count; a
-pool starts only for two processes up.
+Each batch of consecutive job roots walks into one fresh table (unless the
+run counts nothing) and fresh collectors, which the run adds and merges in
+batch order, whatever the worker count; a pool starts only for two up.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .core import (GeneratorTag, NumericalSemigroup, Strength, _bits,
 from .errors import IncompleteCensus
 
 _WITNESS_CAP = 20
+_BATCHES_PER_PROCESS = 8
 
 
 def _add_witness(witnesses: list, gaps: tuple[int, ...]) -> None:
@@ -250,31 +251,13 @@ class CensusTable:
 
     # -- merging -----------------------------------------------------------
 
-    def _spans(self, frame: tuple) -> tuple[slice, ...]:
-        # The cells, one slice per counter in _COUNTERS, that the subtree
-        # under the job root ``frame`` counts: its root is counted by the
-        # caller, so no genus or Frobenius number up to its root's, and,
-        # as no job root is ordinary, its root's multiplicity alone.
-        g1, m, f = frame[1] + 1, frame[2], frame[3]
-        width = self.g_max + 1
-        rows = slice(g1 * (self.g_max + 3), None)
-        column = slice(m * width + g1, (m + 1) * width)
-        return (column, rows, rows, slice(g1, None), slice(g1, None),
-                slice(f + 1, None), slice(g1, None))
-
-    def _part(self, spans: tuple[slice, ...]) -> tuple:
-        """The counters' cells within ``spans``, and the witnesses."""
-        return ([getattr(self, name)[span]
-                 for name, span in zip(_COUNTERS, spans)],
-                self.wilf_witnesses)
-
-    def _add_part(self, spans: tuple[slice, ...], part: tuple) -> None:
-        """Add another table's ``_part(spans)`` in place, by offset."""
-        cells, witnesses = part
-        for name, span, values in zip(_COUNTERS, spans, cells):
+    def _add(self, other: "CensusTable") -> None:
+        """Add another table of the same shape in place."""
+        for name in _COUNTERS:
             mine = getattr(self, name)
-            mine[span] = map(add, mine[span], values)
-        self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses, witnesses)
+            mine[:] = map(add, mine, getattr(other, name))
+        self.wilf_witnesses = _merge_witnesses(self.wilf_witnesses,
+                                               other.wilf_witnesses)
 
     def counts_equal(self, other: "CensusTable") -> bool:
         return all(getattr(self, name) == getattr(other, name)
@@ -460,18 +443,20 @@ def _walk(root, g_max, lam_max, table, collectors=()):
 
 
 def _subtree_job(payload):
-    # Ships its collectors and, unless the run counts nothing (ns_cap None),
-    # only the cells the subtree can touch, for CensusTable._add_part.
-    frame, g_max, lam_max, ns_cap, factories = payload
+    # Walks a batch of job roots into one fresh table, unless the run counts
+    # nothing (ns_cap None), and one fresh set of collectors; ships both.
+    frames, g_max, lam_max, ns_cap, factories = payload
     extras = {name: make() for name, make in factories}
     table = None if ns_cap is None else CensusTable(g_max, ns_cap)
-    _walk(frame, g_max, lam_max, table, list(extras.values()))
-    return None if table is None else table._part(table._spans(frame)), extras
+    visitors = list(extras.values())
+    for frame in frames:
+        _walk(frame, g_max, lam_max, table, visitors)
+    return table, extras
 
 
 def _run(g_max, collectors, frobenius_max, workers, count):
-    # Walk the spine from the root, into a table when ``count``, then every
-    # job, and merge their parts in job order; returns table and collectors.
+    # Walk the spine from the root, into a table when ``count``, then the job
+    # batches, merged in order; returns table and collectors.
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     if workers < 1:
@@ -490,19 +475,24 @@ def _run(g_max, collectors, frobenius_max, workers, count):
         _tally_root(table)
     frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
                      list(extras.values()))
-    jobs = [(frame, g_max, lam_max, ns_cap, factories) for frame in frontier]
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    n = len(frontier)
+    processes = min(workers, n, os.cpu_count() or 1)
+    # Several batches per process let the pool balance subtrees of very
+    # unequal size.
+    batches = min(n, _BATCHES_PER_PROCESS * processes)
+    jobs = [(frontier[i * n // batches:(i + 1) * n // batches], g_max,
+             lam_max, ns_cap, factories) for i in range(batches)]
     with ExitStack() as scope:
-        parts = map(_subtree_job, jobs)
+        results = map(_subtree_job, jobs)
         if processes > 1:
             from multiprocessing import get_context   # slow to import
             pool = scope.enter_context(get_context().Pool(processes=processes))
-            # imap keeps the job order, and merging overlaps the running jobs.
-            parts = pool.imap(_subtree_job, jobs)
-        for frame, (part, theirs) in zip(frontier, parts):
+            # imap keeps the order, and merging overlaps the running batches.
+            results = pool.imap(_subtree_job, jobs)
+        for theirs, colls in results:
             if count:
-                table._add_part(table._spans(frame), part)
-            for name, coll in theirs.items():
+                table._add(theirs)
+            for name, coll in colls.items():
                 extras[name] = extras[name].merge(coll)
     return table, extras
 
@@ -523,15 +513,15 @@ def enumerate_tree(
     describe that restricted universe, and ``pruned`` marks a bound below
     2 * g_max - 1, which cuts some edge.  A negative bound is an error.
 
-    Every run walks the spine from the root, then merges its jobs' parts
-    in job order.  ``workers`` decides only where the jobs run: on a pool
-    of min(workers, jobs, CPUs) processes when that is at least two, and
-    otherwise in this process.  Witness lists keep the least gap tuples,
-    so the table is the same whatever ``workers`` is.  ``split_depth``
+    Every run walks the spine from the root, then adds the tables of its
+    job batches in job order.  ``workers`` decides only where the batches
+    run: on a pool of min(workers, jobs, CPUs) processes when that is at
+    least two, and otherwise in this process.  Witness lists keep the
+    least gap tuples, so the table is the same whatever ``workers`` is.  ``split_depth``
     shapes nothing: it is range-checked and otherwise ignored, and stays
     only while the benchmark and acceptance criterion 3 still pass it.
     ``collectors`` maps names to zero-argument factories producing
-    per-job collector instances (module-level classes, so they survive
+    per-batch collector instances (module-level classes, so they survive
     pickling), merged into ``extras`` afterwards; :func:`collect` returns
     the same collectors faster when the counts are not needed.
     """
@@ -544,7 +534,7 @@ def collect(g_max: int, collectors: Mapping[str, Callable[[], Collector]], *,
             frobenius_max: int | None = None, workers: int = 1) -> dict:
     """``enumerate_tree(g_max, ...).extras`` for the same arguments, with
     no count: the same walk and jobs visit the same nodes in the same
-    order, but no node is tallied and a job ships only its collectors."""
+    order, but no node is tallied and a batch ships only its collectors."""
     return _run(g_max, collectors, frobenius_max, workers, False)[1]
 
 

@@ -481,6 +481,26 @@ class TestUsageErrors:
         err = one_line_error(capsys, *command, "--max-genus", "9" * 20)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["count", "--max-genus", "100000000000"],
+        ["inspect", "1000000000000", "1000000000001"],
+    ], ids=["count", "inspect"])
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch,
+                                             tmp_path, command):
+        # Such inputs exhaust memory in the walk or in the constructor;
+        # faked here, so nothing large is allocated.
+        from sgforge import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_tree", exhausted)
+        monkeypatch.setattr(cli, "from_generators", exhausted)
+        target = tmp_path / "new.csv"
+        err = one_line_error(capsys, *command, "--output", str(target))
+        assert err == "error: out of memory\n"
+        assert not target.exists()
+
     @pytest.mark.parametrize("command", REJECTED_COMMANDS)
     def test_rejected_input_leaves_output_file(self, capsys, tmp_path,
                                                command):

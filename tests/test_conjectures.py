@@ -1,6 +1,9 @@
 """Identity and conjecture sweeps at test scale (acceptance runs go deeper)."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 
@@ -13,6 +16,8 @@ from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
                                  StrongClassCollector)
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
 from test_tree import FIG1, brute_force_gapsets
+
+SRC = os.path.dirname(os.path.dirname(sf.__file__))
 
 
 class TestWilf:
@@ -27,6 +32,26 @@ class TestWilf:
     def test_trivial_semigroup_vacuous(self):
         res = sf.check_wilf(sf.from_generators({1}))
         assert res.holds and res.f_plus_1 == 0
+
+    def test_deeper_census_reports_witnesses_within_bound(self):
+        # A census deeper than g_max may hold witnesses above it; only
+        # those of genus <= g_max are reported, and when none is left the
+        # per-genus counts stand in for them.
+        deep = list(range(1, 8))                   # a genus-7 gap set
+        table = sf.enumerate_tree(8)
+        table.wilf_violations[7] = 1
+        table.wilf_witnesses = [tuple(deep)]
+        report = sf.wilf_sweep(5, census=table)
+        assert report.ok and report.violations == []
+        table.wilf_violations[3] = 1
+        table.wilf_witnesses = [(1, 2, 3), tuple(deep)]
+        assert sf.wilf_sweep(5, census=table).violations \
+            == [{"gaps": [1, 2, 3], "generators": [4, 5, 6, 7]}]
+        table.wilf_witnesses = [tuple(deep)]
+        assert sf.wilf_sweep(5, census=table).violations \
+            == [{"per_genus_counts": {3: 1}}]
+        assert sf.wilf_sweep(7, census=table).violations \
+            == [{"gaps": deep, "generators": list(range(8, 16))}]
 
     def test_sweep(self):
         report = sf.wilf_sweep(16)
@@ -344,9 +369,11 @@ class TestIncrementalCollectors:
     G_MAX = 14
 
     def _expected_orphans(self):
-        # The root, and each job root, which starts in a fresh collector
-        # whatever ``workers`` is.  Childless children are visited in their
-        # parent's loop, so none of them roots a job.
+        # The root, and each job root, whose parent is a spine node that no
+        # batch visits, whatever ``workers`` is; a batch visits its job
+        # roots one after another, but never one's parent.  Childless
+        # children are visited in their parent's loop, so none of them
+        # roots a job.
         from sgforge.tree import CensusTable, _root_frame, _walk
 
         g = self.G_MAX
@@ -458,6 +485,66 @@ class TestCollect:
         assert sf.ordinarization_sweep(9).ok
         assert sf.buchweitz_sweep(9).stats["totals"][9] == 118
         assert sf.zhai_sweep(9).ok
+
+
+class TestBatches:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("per_process", [1, 1000])
+    def test_batch_count_changes_nothing(self, monkeypatch, per_process,
+                                         workers):
+        # One batch per process, or one job root per batch: batches are
+        # contiguous and merged in order, and collectors merge as monoids,
+        # so every counter, witness and collector state is the default's.
+        from sgforge import tree
+
+        for g, f_max in ((14, None), (14, 14), (12, 9)):
+            default = sf.enumerate_tree(g, frobenius_max=f_max,
+                                        workers=workers, collectors=STOCK)
+            with monkeypatch.context() as patch:
+                patch.setattr(tree, "_BATCHES_PER_PROCESS", per_process)
+                table = sf.enumerate_tree(g, frobenius_max=f_max,
+                                          workers=workers, collectors=STOCK)
+                found = sf.collect(g, STOCK, frobenius_max=f_max,
+                                   workers=workers)
+            assert table.counts_equal(default)
+            assert table.wilf_witnesses == default.wilf_witnesses
+            for name, coll in default.extras.items():
+                assert public_state(table.extras[name]) \
+                    == public_state(coll), (g, f_max, name)
+                assert public_state(found[name]) == public_state(coll)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_method_changes_nothing(self, method):
+        # Workers that re-import sgforge must rebuild the same pickled
+        # batches, tables and collectors; forkserver is the default start
+        # method on Linux from Python 3.14.
+        code = f"""
+import multiprocessing
+from functools import partial
+import sgforge as sf
+from sgforge.conjectures import ConcentrationCollector
+
+def state(colls):
+    return {{name: vars(coll) for name, coll in colls.items()}}
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    stock = {{"concentration": partial(ConcentrationCollector, 0.5)}}
+    one, two = (sf.enumerate_tree(14, workers=w, collectors=stock)
+                for w in (1, 2))
+    assert two.counts_equal(one)
+    assert two.wilf_witnesses == one.wilf_witnesses
+    assert state(two.extras) == state(one.extras)
+    assert state(sf.collect(14, stock, workers=2)) == state(one.extras)
+    print(multiprocessing.get_start_method(), sum(two.n_of_g))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{method} 4107\n"
 
 
 class TestPflueger:

@@ -132,13 +132,10 @@ class FrameCheck:
 
 
 def job_table(frame, g_max, lam_max, ns_cap):
-    """The whole CensusTable of one pool job, from the cells it ships."""
-    from sgforge.tree import CensusTable, _subtree_job
+    """The CensusTable a pool job ships for a batch of the one job root."""
+    from sgforge.tree import _subtree_job
 
-    table = CensusTable(g_max, ns_cap)
-    part, _ = _subtree_job((frame, g_max, lam_max, ns_cap, ()))
-    table._add_part(table._spans(frame), part)
-    return table
+    return _subtree_job(([frame], g_max, lam_max, ns_cap, ()))[0]
 
 
 # -- reference counts --------------------------------------------------------
@@ -544,12 +541,11 @@ class TestDeterminism:
         assert par.extras["gapsets"].by_genus == seq.extras["gapsets"].by_genus
 
     def test_merge_is_commutative_monoid_on_counts(self):
-        # Split at the spine by hand and add the job parts back, as _run
-        # does, in both orders.  The spine walk tallies the job roots in
-        # their parents' loops, and each job only their descendants; the
-        # root is tallied apart.
-        from sgforge.tree import (CensusTable, _root_frame, _subtree_job,
-                                  _tally_root, _walk)
+        # Split at the spine by hand and add one table per job root back,
+        # as _run adds its batches' tables, in both orders.  The spine walk
+        # tallies the job roots in their parents' loops, and each job only
+        # their descendants; the root is tallied apart.
+        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
 
         g_max = 9
 
@@ -560,12 +556,11 @@ class TestDeterminism:
 
         left, frontier = spine()
         right, _ = spine()
-        jobs = [(f, _subtree_job((f, g_max, 100, g_max, ()))[0])
-                for f in frontier]
-        for frame, part in jobs:
-            left._add_part(left._spans(frame), part)
-        for frame, part in reversed(jobs):
-            right._add_part(right._spans(frame), part)
+        jobs = [job_table(f, g_max, 100, g_max) for f in frontier]
+        for job in jobs:
+            left._add(job)
+        for job in reversed(jobs):
+            right._add(job)
         assert left.counts_equal(right)
         assert left.wilf_witnesses == right.wilf_witnesses
         assert left.counts_equal(sf.enumerate_tree(g_max))
@@ -613,27 +608,6 @@ class TestDeterminism:
         visited = sum(map(len, coll.by_genus.values()))
         assert visited - 1 + len(jobs) == sum(plain.n_of_g)
 
-    @pytest.mark.parametrize("g_max,f_max", [(9, None), (14, None),
-                                             (14, 9), (16, 20)])
-    def test_job_ships_every_cell_it_counted(self, g_max, f_max):
-        # A job returns only the cells its subtree can touch (its root's
-        # column, no genus or Frobenius number up to its root's).  Added
-        # back by offset, they must rebuild the whole table of the same
-        # walk, for every spine job.
-        from sgforge.tree import CensusTable, _root_frame, _walk
-
-        lam_max = 3 * g_max + 3 if f_max is None else f_max
-        cap = min(g_max, lam_max)
-        frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable(g_max, cap))
-        assert frames
-        for frame in frames:
-            whole = CensusTable(g_max, cap)
-            _walk(frame, g_max, lam_max, whole)
-            shipped = job_table(frame, g_max, lam_max, cap)
-            assert shipped.counts_equal(whole), frame[1:4]
-            assert shipped.wilf_witnesses == whole.wilf_witnesses
-
     @pytest.mark.parametrize("lam_max", ["3g+3", 9, 20])
     @pytest.mark.parametrize("g_max", [*range(15), 24])
     def test_spine_frames_from_first_principles(self, g_max, lam_max):
@@ -666,10 +640,10 @@ class TestDeterminism:
         assert all(f[3] > f[2] for f in frames)
 
     @staticmethod
-    def _pool_sizes(monkeypatch, g_max, workers, cpus):
+    def _inline_pool(monkeypatch, cpus):
         # A fake context records the pool size asked for and runs the jobs
         # in this process, so no process starts, and os.cpu_count reads
-        # ``cpus`` whatever the host has.
+        # ``cpus`` whatever the host has.  Returns the recorded sizes.
         import multiprocessing
         import os
 
@@ -694,9 +668,42 @@ class TestDeterminism:
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *args: InlineContext())
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def _pool_sizes(self, monkeypatch, g_max, workers, cpus):
+        sizes = self._inline_pool(monkeypatch, cpus)
         table = sf.enumerate_tree(g_max, workers=workers)
         assert table.counts_equal(sf.enumerate_tree(g_max))
         return sizes
+
+    def test_batches_balance_a_pool_of_two(self, monkeypatch):
+        # A pool of two gets 2 * _BATCHES_PER_PROCESS batches of
+        # consecutive job roots, which together hold every node below the
+        # spine.  The job roots' subtrees vary widely in size, and two
+        # batches would leave one process 83% of the nodes at g = 18; no
+        # batch may hold more than a quarter of the tree.
+        from sgforge import tree
+
+        run_batch = tree._subtree_job
+        loads = []
+
+        def recording_job(payload):
+            table, colls = run_batch(payload)
+            loads.append(len(payload[0]) + sum(table.n_of_g))
+            return table, colls
+
+        self._inline_pool(monkeypatch, 2)
+        monkeypatch.setattr(tree, "_subtree_job", recording_job)
+        g_max = 18
+        total = sum(sf.enumerate_tree(g_max, workers=2).n_of_g)
+        spine = tree.CensusTable(g_max, g_max)
+        tree._tally_root(spine)
+        roots = tree._walk(tree._root_frame(g_max), g_max, 3 * g_max + 3,
+                           spine)
+        assert len(loads) == 2 * tree._BATCHES_PER_PROCESS
+        # The spine walk tallies the job roots, which their batches hold.
+        assert sum(spine.n_of_g) - len(roots) + sum(loads) == total
+        assert max(loads) <= total / 4
 
     @pytest.mark.parametrize("g_max,workers,processes",
                              [(3, 64, 1), (5, 64, 4), (5, 2, 2), (9, 3, 3)])
@@ -764,16 +771,15 @@ class TestDeterminism:
         assert table.counts_equal(sf.enumerate_tree(g_max))
 
     def test_merged_witnesses_ignore_order(self):
-        from sgforge.tree import _COUNTERS, CensusTable
+        from sgforge.tree import CensusTable
 
         evens = [(1, k) for k in range(0, 30, 2)]
         odds = [(1, k) for k in range(1, 30, 2)]
         expected = [(1, k) for k in range(20)]
-        whole = (slice(None),) * len(_COUNTERS)
         for mine, theirs in ((evens, odds), (odds, evens)):
             table, other = CensusTable(6, 6), CensusTable(6, 6)
             table.wilf_witnesses, other.wilf_witnesses = mine, theirs
-            table._add_part(whole, other._part(whole))
+            table._add(other)
             assert table.wilf_witnesses == expected
 
 
