@@ -49,7 +49,7 @@ Frobenius number exceeds its multiplicity and no node of its subtree is
 ordinary: a walk from a job root descends everywhere and returns nothing.
 Each batch of consecutive job roots walks into one fresh table (unless the
 run counts nothing) and fresh collectors, which the run adds and merges in
-batch order, whatever the worker count; a pool starts only for two up.
+batch order, whatever the worker count; a pool needs two processes or more.
 """
 
 from __future__ import annotations
@@ -517,9 +517,9 @@ def enumerate_tree(
     job batches in job order.  ``workers`` decides only where the batches
     run: on a pool of min(workers, jobs, CPUs) processes when that is at
     least two, and otherwise in this process.  Witness lists keep the
-    least gap tuples, so the table is the same whatever ``workers`` is.  ``split_depth``
-    shapes nothing: it is range-checked and otherwise ignored, and stays
-    only while the benchmark and acceptance criterion 3 still pass it.
+    least gap tuples, so the table is the same whatever ``workers`` is.
+    ``split_depth`` shapes nothing: it is range-checked and otherwise
+    ignored, and stays while the benchmark and acceptance criterion 3 pass it.
     ``collectors`` maps names to zero-argument factories producing
     per-batch collector instances (module-level classes, so they survive
     pickling), merged into ``extras`` afterwards; :func:`collect` returns

@@ -17,8 +17,6 @@ from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
 from test_tree import FIG1, brute_force_gapsets
 
-SRC = os.path.dirname(os.path.dirname(sf.__file__))
-
 
 class TestWilf:
     def test_two_three_equality(self):
@@ -369,11 +367,9 @@ class TestIncrementalCollectors:
     G_MAX = 14
 
     def _expected_orphans(self):
-        # The root, and each job root, whose parent is a spine node that no
-        # batch visits, whatever ``workers`` is; a batch visits its job
-        # roots one after another, but never one's parent.  Childless
-        # children are visited in their parent's loop, so none of them
-        # roots a job.
+        # The root, and each job root: its parent is a spine node, which no
+        # batch visits, whatever ``workers`` is.  Childless children are
+        # visited in their parent's loop, so none of them roots a job.
         from sgforge.tree import CensusTable, _root_frame, _walk
 
         g = self.G_MAX
@@ -517,9 +513,11 @@ class TestBatches:
     def test_start_method_changes_nothing(self, method):
         # Workers that re-import sgforge must rebuild the same pickled
         # batches, tables and collectors; forkserver is the default start
-        # method on Linux from Python 3.14.
+        # method on Linux from Python 3.14.  Two CPUs are faked so that a
+        # pool of two starts on any host.
         code = f"""
 import multiprocessing
+import os
 from functools import partial
 import sgforge as sf
 from sgforge.conjectures import ConcentrationCollector
@@ -529,6 +527,7 @@ def state(colls):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method({method!r})
+    os.cpu_count = lambda: 2
     stock = {{"concentration": partial(ConcentrationCollector, 0.5)}}
     one, two = (sf.enumerate_tree(14, workers=w, collectors=stock)
                 for w in (1, 2))
@@ -538,9 +537,10 @@ if __name__ == "__main__":
     assert state(sf.collect(14, stock, workers=2)) == state(one.extras)
     print(multiprocessing.get_start_method(), sum(two.n_of_g))
 """
+        src = os.path.dirname(os.path.dirname(sf.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, env.get("PYTHONPATH")]))
+            filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -132,7 +132,7 @@ class FrameCheck:
 
 
 def job_table(frame, g_max, lam_max, ns_cap):
-    """The CensusTable a pool job ships for a batch of the one job root."""
+    """The CensusTable that a batch of the one job root ``frame`` ships."""
     from sgforge.tree import _subtree_job
 
     return _subtree_job(([frame], g_max, lam_max, ns_cap, ()))[0]
