@@ -19,7 +19,7 @@ from typing import Sequence
 from . import conjectures
 from .core import from_generators
 from .errors import SemigroupError
-from .tree import enumerate_tree, ns_by_frobenius
+from .tree import _counts, enumerate_tree, ns_by_frobenius
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,21 +85,21 @@ def _cmd_count(args, out) -> int:
     if args.by == "frobenius":
         if g_max < 1:
             raise ValueError("frobenius counts need --max-genus >= 1")
-        counts = ns_by_frobenius(g_max, workers=args.workers)
-        rows = sorted(counts.items())
-        text = _render_table(["F", "count"], rows, args.format)
+        headers = ["F", "count"]
+        rows = sorted(ns_by_frobenius(g_max, workers=args.workers).items())
+    elif args.by == "efficacy":
+        headers = ["g", "h", "count"]
+        rows = enumerate_tree(g_max, workers=args.workers).rows_by_efficacy()
     else:
-        table = enumerate_tree(g_max, workers=args.workers)
+        nmg = _counts(g_max, workers=args.workers)[0]
+        width = g_max + 1
         if args.by == "genus":
-            text = _render_table(["genus", "count"], table.rows_by_genus(),
-                                 args.format)
-        elif args.by == "multiplicity":
-            text = _render_table(["m", "g", "count"],
-                                 table.rows_by_multiplicity(), args.format)
+            headers = ["genus", "count"]
+            rows = [(g, sum(nmg[g::width])) for g in range(width)]
         else:
-            text = _render_table(["g", "h", "count"],
-                                 table.rows_by_efficacy(), args.format)
-    out.write(text)
+            headers = ["m", "g", "count"]
+            rows = [(*divmod(i, width), c) for i, c in enumerate(nmg) if c]
+    out.write(_render_table(headers, rows, args.format))
     return 0
 
 

@@ -265,9 +265,12 @@ def ordinarization_sweep(g_max: int, *,
                          workers: int = 1) -> VerificationReport:
     """Level sums, the single root per level, and n(g, r) <= n(g+1, r).
 
-    The monotonicity cells cover g < g_max (each needs the next level).
+    The monotonicity cells cover g < g_max, so g_max = 0 checks nothing.
     """
     counts = ordinarization_census(g_max, workers=workers)
+    if g_max < 1:
+        raise ValueError("g_max must be >= 1; smaller bounds leave no "
+                         "cell to check")
     n_of_g = [0] * (g_max + 1)
     for (g, _r), c in counts.items():
         n_of_g[g] += c

@@ -215,6 +215,7 @@ class TestVerify:
         ("buchweitz", "1"),
         ("ye", "-1"),
         ("wilf", "0"),
+        ("ordinarization", "0"),
     ])
     def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
         one_line_error(capsys, "verify", name, "--max-genus", bound)
@@ -394,15 +395,18 @@ class TestWorkerResolution:
         from sgforge import cli
 
         seen = []
-        real = sf.enumerate_tree
 
-        def spy(g_max, **kwargs):
-            seen.append(kwargs["workers"])
-            return real(g_max, **kwargs)
+        def spy(real):
+            def call(g_max, **kwargs):
+                seen.append(kwargs["workers"])
+                return real(g_max, **kwargs)
+            return call
 
-        # count walks through cli, verify bras-amoros through conjectures.
-        monkeypatch.setattr(cli, "enumerate_tree", spy)
-        monkeypatch.setattr(conjectures, "enumerate_tree", spy)
+        # count --by genus runs the count-only walk through cli, verify
+        # bras-amoros the census walk through conjectures.
+        monkeypatch.setattr(cli, "_counts", spy(cli._counts))
+        monkeypatch.setattr(conjectures, "enumerate_tree",
+                            spy(sf.enumerate_tree))
         for command in (["count"], ["verify", "bras-amoros"]):
             code, _, _ = run_cli(capsys, *command, "--max-genus", "6", *knob)
             assert code == 0
@@ -449,6 +453,7 @@ REJECTED_COMMANDS = [
     ["count", "--max-genus", "0", "--by", "frobenius"],
     ["count", "--max-genus", "3", "--workers", "0"],
     ["verify", "wilf", "--max-genus", "0"],
+    ["verify", "ordinarization", "--max-genus", "0"],
     ["verify", "zhai-lemma", "--workers", "0"],
     ["inspect", "4", "6"],
     ["inspect", "0", "3"],
@@ -494,7 +499,7 @@ class TestUsageErrors:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "enumerate_tree", exhausted)
+        monkeypatch.setattr(cli, "_counts", exhausted)
         monkeypatch.setattr(cli, "from_generators", exhausted)
         target = tmp_path / "new.csv"
         err = one_line_error(capsys, *command, "--output", str(target))
@@ -523,7 +528,7 @@ class TestUsageErrors:
         def failing_walk(*args, **kwargs):
             raise OSError("walk failed")
 
-        monkeypatch.setattr(cli, "enumerate_tree", failing_walk)
+        monkeypatch.setattr(cli, "_counts", failing_walk)
         target = tmp_path / "new.csv"
         err = one_line_error(capsys, "count", "--max-genus", "3",
                              "--output", str(target))
@@ -541,7 +546,7 @@ class TestUsageErrors:
         def no_walk(*args, **kwargs):
             raise AssertionError("the walk ran before --output was opened")
 
-        monkeypatch.setattr(cli, "enumerate_tree", no_walk)
+        monkeypatch.setattr(cli, "_counts", no_walk)
         monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
                             conjectures.SWEEPS["pflueger"]._replace(run=no_walk))
         err = one_line_error(capsys, *command, "--output", str(tmp_path))
@@ -560,7 +565,7 @@ class TestUsageErrors:
             raise AssertionError("the walk ran before --output was opened")
 
         # The path is tried before the walk, so a bad one costs no sweep.
-        monkeypatch.setattr(cli, "enumerate_tree", no_walk)
+        monkeypatch.setattr(cli, "_counts", no_walk)
         monkeypatch.setitem(conjectures.SWEEPS, "pflueger",
                             conjectures.SWEEPS["pflueger"]._replace(run=no_walk))
         path = tmp_path / "missing" / "x.csv"

@@ -175,6 +175,13 @@ class TestOrdinarization:
     def test_sweep(self):
         assert sf.ordinarization_sweep(12).ok
 
+    def test_vacuous_bound_rejected(self):
+        # g_max = 0 has no monotonicity cell, and its root check holds by
+        # construction; g_max = 1 checks the cells of genus 0.
+        assert sf.ordinarization_sweep(1).stats["levels"] == {0: 1, 1: 1}
+        with pytest.raises(ValueError):
+            sf.ordinarization_sweep(0)
+
     def test_popcount_matches_step_simulation(self):
         table = sf.enumerate_tree(16, collectors={"log": FrameLog})
         expected = Counter()
@@ -512,7 +519,7 @@ class TestBatches:
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_start_method_changes_nothing(self, method):
         # Workers that re-import sgforge must rebuild the same pickled
-        # batches, tables and collectors; forkserver is the default start
+        # batches, tables and collectors, and the count-only walk's lists; forkserver is the default start
         # method on Linux from Python 3.14.  Two CPUs are faked so that a
         # pool of two starts on any host.
         code = f"""
@@ -535,6 +542,7 @@ if __name__ == "__main__":
     assert two.wilf_witnesses == one.wilf_witnesses
     assert state(two.extras) == state(one.extras)
     assert state(sf.collect(14, stock, workers=2)) == state(one.extras)
+    assert sf.ns_by_frobenius(14, workers=2) == sf.ns_by_frobenius(14)
     print(multiprocessing.get_start_method(), sum(two.n_of_g))
 """
         src = os.path.dirname(os.path.dirname(sf.__file__))

@@ -485,6 +485,55 @@ class TestNsByFrobenius:
         assert sf.ns_by_frobenius(1) == {1: 1}
 
 
+# -- the count-only walk -----------------------------------------------------
+
+class TestCountOnly:
+    # ns_by_frobenius and count --by genus, multiplicity and frobenius run
+    # the count-only walk; it must count N(m, g) and ns(F) as the census
+    # walk does, whatever the bound, the workers or the batches.
+    @pytest.mark.parametrize("g_max", [*range(21), 24])
+    def test_n_mg_matches_census_walk(self, g_max):
+        from sgforge.tree import _counts
+
+        table = sf.enumerate_tree(g_max)
+        for workers in (1, 2):
+            n_mg, ns = _counts(g_max, workers=workers)
+            assert n_mg == table.n_mg_flat, workers
+            assert ns == table.ns_flat, workers
+
+    @pytest.mark.parametrize("f_max", range(1, 21))
+    def test_ns_matches_pruned_census_walk(self, f_max):
+        table = sf.enumerate_tree(f_max, frobenius_max=f_max)
+        expected = {f: table.ns(f) for f in range(1, f_max + 1)}
+        for workers in (1, 2):
+            assert sf.ns_by_frobenius(f_max, workers=workers) == expected
+
+    @pytest.mark.parametrize("g_max", range(15))
+    def test_frobenius_bound_below_genus_bound(self, g_max):
+        # Bounds that cut some edges but not all, and bounds that cut none.
+        from sgforge.tree import _counts
+
+        for f_max in sorted({1, 3, g_max // 2 + 1, g_max, g_max + 3,
+                             2 * g_max + 1}):
+            table = sf.enumerate_tree(g_max, frobenius_max=f_max)
+            assert _counts(g_max, frobenius_max=f_max) \
+                == (table.n_mg_flat, table.ns_flat), f_max
+
+    @pytest.mark.parametrize("per_process", [1, 1000])
+    def test_batch_count_changes_nothing(self, monkeypatch, per_process):
+        from sgforge import tree
+
+        runs = [(g, f_max, workers) for g, f_max in ((14, None), (18, None),
+                                                     (14, 14), (12, 9))
+                for workers in (1, 2)]
+        default = [(tree._counts(g, workers=w, frobenius_max=f),
+                    sf.ns_by_frobenius(g, workers=w)) for g, f, w in runs]
+        monkeypatch.setattr(tree, "_BATCHES_PER_PROCESS", per_process)
+        assert [(tree._counts(g, workers=w, frobenius_max=f),
+                 sf.ns_by_frobenius(g, workers=w))
+                for g, f, w in runs] == default
+
+
 # -- determinism and merging -------------------------------------------------
 
 class TestDeterminism:

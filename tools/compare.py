@@ -11,6 +11,8 @@ parentheses):
 - one counter or witness list of ``enumerate_tree(g, frobenius_max=F,
   workers=w)``, for g in 0..16 (0..9), F unbounded and F <= 1, 3 and
   2g + 1, and w = 1 and 2;
+- ``ns_by_frobenius(F, workers=w)`` for F on the same range as g, and
+  w = 1 and 2, or what it raises there;
 - the public state of one stock collector (strong classes,
   ordinarization, Buchweitz, effective weight and concentration, all five
   in one walk) from ``enumerate_tree(...).extras`` and from ``collect``,
@@ -29,7 +31,7 @@ parentheses):
   ``bras-amoros`` (none); ``verify --help``, ``--help``, an unknown name
   and a bare ``verify``; ``inspect`` on five generator sets up to
   <20, 59> (genus 551), a set with gcd 2 and one holding 0; every
-  ``count --by`` in csv and json at ``--max-genus`` 0, 1, 2, 9 and 16
+  ``count --by`` in csv and json at ``--max-genus`` 0, 1, 2, 9, 16 and 20
   (0, 2 and 9) with ``--workers`` 1 and 2; and ``count`` at
   ``--max-genus -1`` for each ``--by``, at ``--workers 0`` and at a genus
   too large to allocate.
@@ -81,7 +83,7 @@ def grid(smoke: bool) -> dict:
             "sweep_bounds": (2, 9) if smoke else (2, 9, 14),
             "verify_bounds": ("2", "9") if smoke else ("2", "3", "9"),
             "count_bounds": ("0", "2", "9") if smoke else
-                            ("0", "1", "2", "9", "16")}
+                            ("0", "1", "2", "9", "16", "20")}
 
 
 def cases(smoke: bool) -> list[list[str]]:
@@ -158,6 +160,9 @@ def side_cases(smoke: bool):
                 for name in COUNTERS:
                     yield (f"enumerate_tree g={g} F={f_max} w={workers} "
                            f"{name}", canonical(getattr(table, name)), "")
+        for workers in (1, 2):
+            yield (f"ns_by_frobenius F={g} w={workers}",
+                   shown(lambda: sf.ns_by_frobenius(g, workers=workers)), "")
         yield (f"strongly_descended_census g={g}",
                shown(lambda: sf.strongly_descended_census(
                    sf.enumerate_tree(g))), "")
