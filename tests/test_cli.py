@@ -453,10 +453,10 @@ REJECTED_COMMANDS = [
     ["count", "--max-genus", "0", "--by", "frobenius"],
     ["count", "--max-genus", "3", "--workers", "0"],
     ["verify", "wilf", "--max-genus", "0"],
-    ["verify", "ordinarization", "--max-genus", "0"],
     ["verify", "zhai-lemma", "--workers", "0"],
     ["inspect", "4", "6"],
     ["inspect", "0", "3"],
+    ["verify", "ordinarization", "--max-genus", "0"],
 ]
 
 
