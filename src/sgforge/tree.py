@@ -16,10 +16,12 @@ tuple of members up to the probes' reach (below), mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
 generator.  The walk tallies every node but the root into a table
-through one block in its parent's loop (:func:`collect` skips it), and
-hands the tuple itself to each collector.  Children with no admissible
-edge (at depth g_max, or with no effective generator within the edge
-bound), the ordinary child too, are visited there, never pushed.
+in its parent's loop (:func:`collect` skips it), and hands the tuple
+itself to each collector.  Children with no admissible edge (at depth
+g_max, or with no effective generator within the edge bound), the
+ordinary child too, are visited there, never pushed.  A tally run
+without collectors builds no child at depth g_max - 1 of a non-ordinary
+node either: its children are tallied in the grandparent's loop.
 
 Descending along lam updates everything incrementally: the child's minimal
 generators are the parent's minus lam, plus m + lam exactly when lam is
@@ -315,14 +317,17 @@ def _walk(root, g_max, lam_max, table, collectors=()):
     ``table`` is None: one test per edge then skips the tally, not the jobs.
     Children with no admissible edge (at depth g_max, or with no effective
     generator <= lam_max) are handed to each collector there and never
-    pushed.  An ordinary node (F < m) pushes only its ordinary child
+    pushed.  With a table and no collectors, neither is a child at depth
+    g_max - 1 of a non-ordinary node: a second block there tallies its
+    children.  An ordinary node (F < m) pushes only its ordinary child
     (lam == m) and returns, unvisited, each other child with an admissible
     edge: the job roots, in (depth, Frobenius number) order.  Every other
-    node pushes its children, so the walk visits everything below ``root``
+    node pushes the rest, so the walk visits everything below ``root``
     but the job roots' subtrees, in pre-order, and a walk from a job root,
     which has no ordinary node below it, returns [].
     """
     tally = table is not None
+    bare = tally and not collectors
     if tally:
         nmg = table.n_mg_flat
         tgh = table.t_gh_flat
@@ -353,6 +358,7 @@ def _walk(root, g_max, lam_max, table, collectors=()):
         e = mg.bit_count()
         m2 = m + m
         last = g1 == g_max
+        fold = bare and g1 + 1 == g_max and F > m
         top = (m + lam_top) >> 1       # _reach(m, lam_top), inlined
         for i in range(h):
             lam = eff[i]
@@ -382,7 +388,7 @@ def _walk(root, g_max, lam_max, table, collectors=()):
             leaf = last or (not (strong and x <= lam_max)
                             and (i + 1 == h or eff[i + 1] > lam_max))
             if tally:
-                # The one tally block, for the child (g1, mc, hc, ec, F = lam):
+                # The tally block for the child (g1, mc, hc, ec, F = lam):
                 # it keeps eff[i + 1:] and mg but lam, plus x if strong, plus
                 # 2m + 1 if ordinary (mc = m + 1, strong, and lam = m < 2m).
                 if strong:
@@ -407,11 +413,44 @@ def _walk(root, g_max, lam_max, table, collectors=()):
             if leaf and not collectors:
                 continue
             rest = eff[i + 1:]
-            mgc = mg ^ (1 << lam)
             if strong:
                 # Minimal generators never exceed F + m < m + lam = x,
                 # so x sorts after every effective generator.
                 rest += (x,)
+            if fold:
+                # The child (hc, ec above) is at depth g_max - 1 and keeps m:
+                # tally its children here and build none (a call per child
+                # would cost about what that saves).  Its members: mem - lam.
+                Bc = B ^ (1 << lam)
+                for i2, lam2 in enumerate(rest):
+                    if lam2 > lam_max:
+                        break
+                    x2 = m + lam2
+                    for u in mem:
+                        if u + u > x2 or u != lam and (Bc >> (x2 - u)) & 1:
+                            break
+                    else:
+                        u = x2
+                    weak = u + u <= x2
+                    h2 = hc - i2 - weak
+                    if not weak:
+                        sgh[g_max * hw + h2] += 1
+                    nmg[m * width + g_max] += 1
+                    tgh[g_max * hw + h2] += 1
+                    if lam2 < m2:
+                        f2m[g_max] += 1
+                        f3m[g_max] += 1
+                    elif lam2 < m2 + m:
+                        f3m[g_max] += 1
+                    if lam2 <= ns_cap:
+                        nsf[lam2] += 1
+                    if lam2 + 1 > (lam2 + 1 - g_max) * (ec - weak):
+                        wilf_bad[g_max] += 1
+                        _add_witness(wilf_wit,
+                                     _gaps_of(Bc ^ (1 << lam2), lam2))
+                continue
+            mgc = mg ^ (1 << lam)
+            if strong:
                 mgc |= 1 << x
             if lam == m:
                 rest += (x + 1,)
@@ -520,7 +559,10 @@ def _run(g_max, collectors, frobenius_max, workers, count, count_only=False):
     frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
                      list(extras.values()))
     n = len(frontier)
-    processes = min(workers, n, os.cpu_count() or 1)
+    # os.cpu_count() also counts CPUs outside this process's affinity.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    processes = min(workers, n, cpus)
     # Several batches per process let the pool balance subtrees of very
     # unequal size.
     batches = min(n, _BATCHES_PER_PROCESS * processes)

@@ -329,7 +329,8 @@ class TestParallelKnobs:
             return real(*args)
 
         monkeypatch.setattr(multiprocessing, "get_context", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         seq = sf.enumerate_tree(12)
         assert pools == []
         assert sf.enumerate_tree(12, workers=2).counts_equal(seq)

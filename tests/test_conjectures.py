@@ -534,7 +534,7 @@ def state(colls):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method({method!r})
-    os.cpu_count = lambda: 2
+    os.sched_getaffinity = lambda pid: {{0, 1}}
     stock = {{"concentration": partial(ConcentrationCollector, 0.5)}}
     one, two = (sf.enumerate_tree(14, workers=w, collectors=stock)
                 for w in (1, 2))

@@ -575,6 +575,31 @@ class TestDeterminism:
             assert fast.counts_equal(slow), f_max
             assert fast.wilf_witnesses == slow.wilf_witnesses, f_max
 
+    @pytest.mark.parametrize("g_max,workers",
+                             [*((g, w) for g in range(21) for w in (1, 2)),
+                              (24, 1)])
+    def test_folded_walk_equals_visiting_walk(self, monkeypatch, g_max,
+                                              workers):
+        # A tally run without collectors tallies depth g_max below each
+        # non-ordinary node at depth g_max - 2 and builds no node at
+        # depth g_max - 1 there; a no-op collector makes the walk build
+        # and visit every node instead.  Up to g_max = 2 no layer folds.
+        # Two workers run the batches on the fake pool, in this process.
+        from sgforge.tree import _COUNTERS
+
+        if workers > 1:
+            self._inline_pool(monkeypatch, 2)
+        bounds = [None]
+        if g_max < 24:
+            bounds += sorted({1, 3, g_max // 2 + 1, g_max + 3, 2 * g_max + 1})
+        for f_max in bounds:
+            fast, slow = (sf.enumerate_tree(g_max, frobenius_max=f_max,
+                                            workers=workers, collectors=c)
+                          for c in (None, {"noop": NoopCollector}))
+            for name in (*_COUNTERS, "wilf_witnesses"):
+                assert getattr(fast, name) == getattr(slow, name), \
+                    (f_max, name)
+
     def test_folded_pruned_walk_in_parallel(self):
         assert sf.ns_by_frobenius(14, workers=2) == sf.ns_by_frobenius(14)
         par = sf.enumerate_tree(14, frobenius_max=14, workers=2)
@@ -691,8 +716,9 @@ class TestDeterminism:
     @staticmethod
     def _inline_pool(monkeypatch, cpus):
         # A fake context records the pool size asked for and runs the jobs
-        # in this process, so no process starts, and os.cpu_count reads
-        # ``cpus`` whatever the host has.  Returns the recorded sizes.
+        # in this process, so no process starts, and the process may run
+        # on ``cpus`` CPUs whatever the host has (None: a platform with no
+        # affinity call and no CPU count).  Returns the recorded sizes.
         import multiprocessing
         import os
 
@@ -716,7 +742,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *args: InlineContext())
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
         return sizes
 
     def _pool_sizes(self, monkeypatch, g_max, workers, cpus):
@@ -772,6 +803,17 @@ class TestDeterminism:
         # and then the jobs run in this process with no pool.
         assert self._pool_sizes(monkeypatch, g_max, workers, cpus) \
             == [processes] * (processes > 1)
+
+    def test_one_cpu_of_affinity_starts_no_pool(self, monkeypatch):
+        # The machine has two CPUs but this process may run on one of
+        # them: a pool of two would only share it.
+        import os
+
+        sizes = self._inline_pool(monkeypatch, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sf.enumerate_tree(9, workers=2).counts_equal(
+            sf.enumerate_tree(9))
+        assert sizes == []
 
     @pytest.mark.parametrize("g_max,f_max", [(14, None), (24, None),
                                              (14, 9), (16, 20)])

@@ -16,7 +16,9 @@ parentheses):
 - the public state of one stock collector (strong classes,
   ordinarization, Buchweitz, effective weight and concentration, all five
   in one walk) from ``enumerate_tree(...).extras`` and from ``collect``,
-  on the same grid but g <= 12 (<= 9);
+  on the same grid but g <= 12 (<= 9), and one counter or witness list of
+  that ``enumerate_tree`` table, whose walk tallies the last layer in the
+  block that a run without collectors folds past;
 - the ``to_json()`` bytes and the ``repr()`` of the report of every
   ``sgforge verify`` sweep and of ``bounds_sweep``, at bounds 2, 9 and 14
   (2 and 9) with ``workers`` 1 and 2, or what a sweep raises there;
@@ -176,9 +178,14 @@ def side_cases(smoke: bool):
     for g in sizes["collector_genera"]:
         for f_max in frobenius_bounds(g):
             for workers in (1, 2):
-                extras = sf.enumerate_tree(g, frobenius_max=f_max,
-                                           workers=workers,
-                                           collectors=stock).extras
+                table = sf.enumerate_tree(g, frobenius_max=f_max,
+                                          workers=workers, collectors=stock)
+                # Collectors make the walk build the last layer that a
+                # run without them tallies unbuilt, by a second block.
+                for name in COUNTERS:
+                    yield (f"collectors g={g} F={f_max} w={workers} {name}",
+                           canonical(getattr(table, name)), "")
+                extras = table.extras
                 found = sf.collect(g, stock, frobenius_max=f_max,
                                    workers=workers)
                 for via, colls in (("extras", extras), ("collect", found)):
