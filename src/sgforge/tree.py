@@ -421,6 +421,7 @@ def _walk(root, g_max, lam_max, table, collectors=()):
                 # The child (hc, ec above) is at depth g_max - 1 and keeps m:
                 # tally its children here and build none (a call per child
                 # would cost about what that saves).  Its members: mem - lam.
+                # Not ordinary, they have F > g_max >= ns_cap: no ns tally.
                 Bc = B ^ (1 << lam)
                 for i2, lam2 in enumerate(rest):
                     if lam2 > lam_max:
@@ -442,8 +443,6 @@ def _walk(root, g_max, lam_max, table, collectors=()):
                         f3m[g_max] += 1
                     elif lam2 < m2 + m:
                         f3m[g_max] += 1
-                    if lam2 <= ns_cap:
-                        nsf[lam2] += 1
                     if lam2 + 1 > (lam2 + 1 - g_max) * (ec - weak):
                         wilf_bad[g_max] += 1
                         _add_witness(wilf_wit,
