@@ -419,8 +419,9 @@ def _walk(root, g_max, lam_max, table, collectors=()):
                 rest += (x,)
             if fold:
                 # The child (hc, ec above) is at depth g_max - 1 and keeps m:
-                # tally its children here and build none (a call per child
-                # would cost about what that saves).  Its members: mem - lam.
+                # tally its children here and build none (a helper called
+                # per child took back a fifth of the gain).  Its members:
+                # mem - lam.
                 # Not ordinary, they have F > g_max >= ns_cap: no ns tally.
                 Bc = B ^ (1 << lam)
                 for i2, lam2 in enumerate(rest):
