@@ -418,11 +418,11 @@ def _walk(root, g_max, lam_max, table, collectors=()):
                 # so x sorts after every effective generator.
                 rest += (x,)
             if fold:
-                # The child (hc, ec above) is at depth g_max - 1 and keeps m:
-                # tally its children here and build none (a helper called
-                # per child took back a fifth of the gain).  Its members:
-                # mem - lam.
-                # Not ordinary, they have F > g_max >= ns_cap: no ns tally.
+                # The child (hc, ec above) is at depth g_max - 1, keeps m and
+                # has the members mem but lam: tally its children here and
+                # build none.  Inlined: a helper called per child took back
+                # part of the gain.  They are not ordinary, so they have
+                # F > g_max >= ns_cap: no ns tally.
                 Bc = B ^ (1 << lam)
                 for i2, lam2 in enumerate(rest):
                     if lam2 > lam_max:

@@ -17,8 +17,10 @@ parentheses):
   ordinarization, Buchweitz, effective weight and concentration, all five
   in one walk) from ``enumerate_tree(...).extras`` and from ``collect``,
   on the same grid but g <= 12 (<= 9), and one counter or witness list of
-  that ``enumerate_tree`` table, whose walk tallies the last layer in the
-  block that a run without collectors folds past;
+  that ``enumerate_tree`` table: collectors make the walk build every
+  node, so these cases check the tally block that visits the last layer,
+  and the first cases the block that a run without collectors folds it
+  into;
 - the ``to_json()`` bytes and the ``repr()`` of the report of every
   ``sgforge verify`` sweep and of ``bounds_sweep``, at bounds 2, 9 and 14
   (2 and 9) with ``workers`` 1 and 2, or what a sweep raises there;
@@ -180,8 +182,6 @@ def side_cases(smoke: bool):
             for workers in (1, 2):
                 table = sf.enumerate_tree(g, frobenius_max=f_max,
                                           workers=workers, collectors=stock)
-                # Collectors make the walk build the last layer that a
-                # run without them tallies unbuilt, by a second block.
                 for name in COUNTERS:
                     yield (f"collectors g={g} F={f_max} w={workers} {name}",
                            canonical(getattr(table, name)), "")
