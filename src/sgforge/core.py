@@ -8,8 +8,12 @@ generating set has size e (the embedding dimension).
 
 Membership is stored as an integer bitmask over the window [0, F + 1]; every
 integer above the Frobenius number is implicitly a member, so the mask plus
-F determines the semigroup completely.  Instances are immutable and safe to
-share between threads or processes.
+F determines the semigroup completely.  The initializer computes F, g, m
+and the minimal generators.  The sorted gaps with the weight and effective
+weight, and the Kunz coordinates at m, are computed on first use and kept.
+Instances are immutable, since a cache is filled once with a value fixed by
+the mask, and safe to share between threads or processes; they pickle and
+copy by their gap mask, with empty caches.
 """
 
 from __future__ import annotations
@@ -114,7 +118,9 @@ class NumericalSemigroup:
     under addition, and raises ValueError otherwise.
     """
 
-    __slots__ = ("_mask", "frobenius", "multiplicity", "genus", "min_generators")
+    # _weights and _coords stay unset until first use, so a build pays nothing.
+    __slots__ = ("_mask", "frobenius", "multiplicity", "genus",
+                 "min_generators", "_weights", "_coords")
 
     _mask: int
     frobenius: int
@@ -184,7 +190,7 @@ class NumericalSemigroup:
         return ((1 << (self.frobenius + 2)) - 1) ^ self._mask
 
     def gaps(self) -> tuple[int, ...]:
-        return tuple(_bits(self._gap_mask()))
+        return self._gap_weights()[0]
 
     # -- invariants ------------------------------------------------------
 
@@ -214,6 +220,14 @@ class NumericalSemigroup:
         # Character x is 1 iff x is a member; every x > F is one.
         bits = bin(self._mask)[:1:-1] + "1" * n
         return [bits[i::n].index("1") for i in range(n)]
+
+    def _kunz_coords(self) -> tuple[int, ...]:
+        """(k_1, ..., k_{m-1}) at the multiplicity m, computed on first use."""
+        coords = getattr(self, "_coords", None)
+        if coords is None:
+            coords = tuple(self._kunz(self.multiplicity)[1:])
+            object.__setattr__(self, "_coords", coords)
+        return coords
 
     # -- tree-facing operations ------------------------------------------
 
@@ -259,14 +273,19 @@ class NumericalSemigroup:
         parts = tuple(map(sub, reversed(gaps), range(len(gaps) - 1, -1, -1)))
         return weight, ewt, Partition(parts)
 
-    def _gap_weights(self) -> tuple[list[int], int, int]:
-        """(sorted gaps, weight, ewt), reading the gap mask once."""
-        gap_mask = self._gap_mask()
-        gaps = _bits(gap_mask)
-        g = len(gaps)
-        # ewt the other way round: each minimal generator counts the gaps above.
-        return (gaps, sum(gaps) - g * (g + 1) // 2,
-                sum((gap_mask >> n).bit_count() for n in self.min_generators))
+    def _gap_weights(self) -> tuple[tuple[int, ...], int, int]:
+        """(sorted gaps, weight, ewt), reading the gap mask on first use."""
+        weights = getattr(self, "_weights", None)
+        if weights is None:
+            gap_mask = self._gap_mask()
+            gaps = tuple(_bits(gap_mask))
+            g = len(gaps)
+            # ewt the other way round: each minimal generator counts the gaps
+            # above it.
+            ewt = sum((gap_mask >> n).bit_count() for n in self.min_generators)
+            weights = (gaps, sum(gaps) - g * (g + 1) // 2, ewt)
+            object.__setattr__(self, "_weights", weights)
+        return weights
 
     @property
     def effective_weight(self) -> int:
@@ -282,11 +301,11 @@ class NumericalSemigroup:
             "multiplicity": self.multiplicity,
             "frobenius": self.frobenius,
             "genus": self.genus,
-            "gaps": gaps,
+            "gaps": list(gaps),
             "efficacy": self.efficacy,
             "weight": weight,
             "ewt": ewt,
-            "kunz": self._kunz(self.multiplicity)[1:],
+            "kunz": list(self._kunz_coords()),
         }
 
     # -- dunder ------------------------------------------------------------
@@ -298,6 +317,10 @@ class NumericalSemigroup:
 
     def __hash__(self) -> int:
         return hash((self.frobenius, self._mask))
+
+    def __reduce__(self):
+        # Rebuilt through the checked initializer, with cold caches.
+        return _from_gap_mask, (self._gap_mask(),)
 
     def __repr__(self) -> str:
         gens = ",".join(str(n) for n in self.min_generators)

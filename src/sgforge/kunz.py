@@ -51,7 +51,7 @@ def kunz_vector(sg: NumericalSemigroup) -> KunzVector:
     m = sg.multiplicity
     if m < 2:
         raise MultiplicityOne("the trivial semigroup has no Kunz vector")
-    return KunzVector(m, tuple(sg._kunz(m)[1:]))
+    return KunzVector(m, sg._kunz_coords())
 
 
 def satisfies_kunz(m: int, coords: Sequence[int]) -> bool:

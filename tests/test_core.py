@@ -1,9 +1,13 @@
 """Semigroup construction, invariants, and per-semigroup operations."""
 
+import copy
 import math
+import pickle
 import random
+import runpy
 from bisect import bisect_left
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -549,3 +553,106 @@ class TestProperties:
                 assert n != m
                 assert s.apery_set(n) == [least_in_residue(member, n, i)
                                           for i in range(n)]
+
+
+# -- caches, pickling and copies -----------------------------------------------
+
+COMPARE_SETS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "tools" / "compare.py"))["SEMIGROUPS"]
+CACHE_SETS = list(COMPARE_SETS) + oracle_generator_sets(seed=26, count=50)
+
+
+def kunz_or_none(s):
+    return sf.kunz_vector(s) if s.multiplicity > 1 else None
+
+
+def kunz_round_trip(s):
+    kv = kunz_or_none(s)
+    return kv and sf.semigroup_from_kunz(kv.m, kv.coords)
+
+
+# The calls the benchmark's oracle workload makes on one instance, in order.
+ORACLE_CALLS = (lambda s: s.to_record(), lambda s: s.weight_data(),
+                lambda s: s.effective_generators(),
+                lambda s: sf.from_gaps(s.gaps()), kunz_or_none,
+                kunz_round_trip, sf.check_wilf)
+
+
+def oracle_calls(s):
+    return tuple(call(s) for call in ORACLE_CALLS)
+
+
+def invariants(s):
+    return (s.frobenius, s.multiplicity, s.genus, s.min_generators,
+            s.efficacy, s.effective_weight, s.apery_set()) + oracle_calls(s)
+
+
+class TestCaches:
+    @pytest.mark.parametrize("gens", CACHE_SETS)
+    def test_warm_calls_equal_fresh_calls(self, gens):
+        s = sf.from_generators(gens)
+        first, second = oracle_calls(s), oracle_calls(s)
+        fresh = tuple(call(sf.from_generators(gens)) for call in ORACLE_CALLS)
+        assert first == second == fresh
+        assert invariants(s) == invariants(sf.from_generators(gens))
+        assert s == sf.from_generators(gens)
+        assert hash(s) == hash(sf.from_generators(gens))
+
+    @pytest.mark.parametrize("gens", CACHE_SETS)
+    def test_edited_record_reaches_no_cache(self, gens):
+        s = sf.from_generators(gens)
+        cold = sf.from_generators(gens)
+        expected = (cold.gaps(), cold.to_record(), cold.weight_data(),
+                    kunz_or_none(cold))
+        record = s.to_record()
+        for key in ("gaps", "kunz", "generators"):
+            record[key].append(10**6)
+            record[key][0:1] = []
+        record = s.to_record()
+        record["gaps"].clear()
+        record["kunz"].clear()
+        record["generators"].clear()
+        assert (s.gaps(), s.to_record(), s.weight_data(),
+                kunz_or_none(s)) == expected
+
+    def test_record_lists_are_new_on_every_call(self):
+        s = sf.from_generators((5, 7, 9, 11))
+        first, second = s.to_record(), s.to_record()
+        for key in ("generators", "gaps", "kunz"):
+            assert first[key] == second[key]
+            assert first[key] is not second[key]
+            assert type(first[key]) is list
+
+    def test_apery_set_at_another_member_reads_no_cache(self):
+        s = sf.from_generators((6, 9, 20))
+        s.to_record()
+        for n in (9, 12, 20, 41):
+            assert s.apery_set(n) == apery_by_steps(s, n)
+
+
+PICKLE_CASES = {"from_gaps([])": lambda: sf.from_gaps([]),
+                "ordinary(5)": lambda: sf.ordinary(5),
+                "<3, 5, 7>": lambda: sf.from_generators([3, 5, 7]),
+                "<20, 59>": lambda: sf.from_generators([20, 59])}
+
+
+class TestPickleAndCopy:
+    @pytest.fixture(params=list(PICKLE_CASES))
+    def built(self, request):
+        return PICKLE_CASES[request.param]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_round_trips(self, built, warm):
+        s = built()
+        if warm:
+            invariants(s)
+        copies = [pickle.loads(pickle.dumps(s, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(s), copy.deepcopy(s)]
+        for other in copies:
+            assert type(other) is sf.NumericalSemigroup
+            assert other == s
+            assert hash(other) == hash(s)
+            assert invariants(other) == invariants(s)
+        # A warm cache travels in no pickle.
+        assert pickle.dumps(s) == pickle.dumps(built())

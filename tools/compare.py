@@ -27,6 +27,10 @@ parentheses):
 - the ``repr()`` of ``strongly_descended_census(enumerate_tree(g))`` on
   the first grid, and of ``weight_data()`` and ``kunz_vector()`` of a few
   fixed semigroups, so a change of record type shows;
+- the ``repr()`` of ``to_record``, ``weight_data``,
+  ``effective_generators``, ``gaps``, ``kunz_vector``, ``check_wilf`` and
+  ``to_record`` again, called in turn on one instance of each of those
+  semigroups, so the later calls read what the earlier ones cached;
 - the exit code, stdout and stderr of ``python -m sgforge.cli ARGV`` in a
   fresh process, named ``cli ARGV``: every verify name in csv and json at
   ``--max-genus`` 2, 3 and 9 (2 and 9) with no ``--workers``, 1 and 2;
@@ -174,6 +178,11 @@ def side_cases(smoke: bool):
         sg = sf.from_generators(gens)
         yield f"weight_data {gens}", shown(sg.weight_data), ""
         yield f"kunz_vector {gens}", shown(lambda: sf.kunz_vector(sg)), ""
+        warm = sf.from_generators(gens)
+        calls = (warm.to_record, warm.weight_data, warm.effective_generators,
+                 warm.gaps, lambda: sf.kunz_vector(warm),
+                 lambda: sf.check_wilf(warm), warm.to_record)
+        yield f"warm {gens}", repr([shown(call) for call in calls]), ""
     stock = {name: getattr(conjectures, cls) for name, (cls, _)
              in COLLECTORS.items()}
     stock["concentration"] = partial(stock["concentration"], 0.5)
