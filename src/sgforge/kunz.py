@@ -4,8 +4,9 @@ A multiplicity-m semigroup is determined by the least member in each
 nonzero residue class mod m, written k_i * m + i; the vector (k_1, ...,
 k_{m-1}) of positive integers satisfies a superadditivity system, and every
 integer solution of the system arises this way.  Slicing by coordinate sum
-g counts N(m, g) without the semigroup tree: one flat backtracking loop,
-:func:`kunz_vectors`, yields the slice, an oracle independent of the walk.
+g counts N(m, g) without the semigroup tree, an oracle independent of the
+walk: one flat backtracking loop over k_1..k_{m-2} finds the interval of
+k_{m-2} left to each valid prefix, and :func:`kunz_vectors` expands them.
 """
 
 from __future__ import annotations
@@ -94,23 +95,25 @@ def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
     raise InvalidKunz(f"({m}, {coords}) violates the inequality system")
 
 
-def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
-    """All Kunz vectors of multiplicity m and genus g, lazily and in
-    lexicographic order.
-
-    One loop walks positions 1..n (n = m - 1), keeping per position the
-    value k, its upper bound top, the remaining sum rest, and the least
-    value, largest value and least k_b / b index of the prefix before it.
-    k_pos is bounded above by the partial sum and the caps k_i + k_{pos-i},
-    below by the wrap bounds k_{i+pos-m} - k_i - 1 and the self bound
-    k_{2pos-m} // 2; the last coordinate is forced to the remaining sum.  A
-    prefix whose tail cannot reach the remaining sum is dropped.
+def _intervals(m: int, g: int) -> Iterator[tuple[list[int], int, int, int]]:
+    """Yield (k, lo, hi, r) for each valid prefix k[1:m-2], in lexicographic
+    order; its vectors end in (t, r - t) for lo <= t <= hi.  k is the loop's
+    own list, so read it before resuming; m = 2 yields ((), g, g, g).  Per
+    position 1..p (p = m - 2) the loop keeps the value k, its upper bound
+    top, the remaining sum rest, and the prefix's least value, largest value
+    and least k_b / b index.  k_pos is bounded above by the partial sum and
+    the caps k_i + k_{pos-i}, below by the wrap bounds k_{i+pos-m} - k_i - 1
+    and the self bound k_{2pos-m} // 2; a prefix whose tail cannot reach the
+    remaining sum is dropped.  At p every bound on k_n = r - t is linear in t.
     """
     if m < 2:
         raise MultiplicityOne("multiplicity must be at least 2")
     if g < 1:
         return
-    n = m - 1
+    if m == 2:
+        yield (), g, g, g
+        return
+    n, p = m - 1, m - 2
     k = [0] * m                   # 1-based
     top = [0] * m
     rest = [g] * m                # rest[pos] = g - k_1 - ... - k_{pos-1}
@@ -137,12 +140,27 @@ def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
                 need = k[i + pos - m] - k[i] - 1
                 if need > lo:
                     lo = need
-        if pos < n and lo <= hi:
+        if pos < p and lo <= hi:
             top[pos], v = hi, lo
         else:
-            if pos == n and lo <= r <= hi:
-                k[n] = r
-                yield tuple(k[1:])
+            if pos == p and lo <= hi and k[p - 1] <= r + 1:
+                # k_n's self bound, cap k_1 + t (2t at m = 3), caps, wraps.
+                cap = (2 * r + 1) // 3
+                hi = cap if cap < hi else hi
+                need = (r - k[1] + 1) // 2 if p > 1 else (r + 2) // 3
+                lo = need if need > lo else lo
+                if r - lo > 2 * low:  # else no cap moves lo
+                    for i in range(2, (m + 1) // 2):
+                        need = r - k[i] - k[n - i]
+                        if need > lo:
+                            lo = need
+                if high - low - 1 > r - hi:   # else no wrap bound moves hi
+                    for j in range(2, p):
+                        cap = r - k[j - 1] + k[j] + 1
+                        if cap < hi:
+                            hi = cap
+                if lo <= hi:
+                    yield k, lo, hi, r
             # Advance the deepest earlier position still below its top.
             pos -= 1
             while pos and k[pos] == top[pos]:
@@ -159,9 +177,21 @@ def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
         pos += 1
 
 
+def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
+    """All Kunz vectors of multiplicity m and genus g, lazily and in
+    lexicographic order: each interval of :func:`_intervals` expanded."""
+    for k, lo, hi, r in _intervals(m, g):
+        if m == 2:
+            yield (r,)
+        else:
+            pre = tuple(k[1:m - 2])
+            for t in range(lo, hi + 1):
+                yield (*pre, t, r - t)
+
+
 def count_by_polytope(m: int, g: int) -> int:
-    """N(m, g) by filtered lattice-point enumeration on the genus slice."""
-    return sum(1 for _ in kunz_vectors(m, g))
+    """N(m, g): the slice's lattice points, counted by interval lengths."""
+    return sum(hi - lo + 1 for _, lo, hi, _ in _intervals(m, g))
 
 
 def recurrence_bijection_check(m: int, g: int) -> tuple[bool, list[dict]]:

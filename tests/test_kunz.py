@@ -7,6 +7,7 @@ import pytest
 import sgforge as sf
 from sgforge.errors import (DimensionMismatch, InvalidKunz, MultiplicityOne,
                             PreconditionViolated)
+from test_acceptance import A007323
 
 
 class TestKunzVector:
@@ -172,12 +173,20 @@ def _max_tail(m, pre):
 class TestKunzVectors:
     def test_matches_brute_force_compositions(self):
         # The enumerator against a filter over every composition of g,
-        # sorted: same vectors, same (lexicographic) order.
-        for m in range(2, 8):
-            for g in range(1, 12):
+        # sorted: same vectors, same (lexicographic) order, and the count
+        # of the same intervals.
+        for m in range(2, 10):
+            for g in range(1, 14):
                 expected = sorted(c for c in _compositions(g, m - 1)
                                   if sf.satisfies_kunz(m, c))
                 assert list(sf.kunz_vectors(m, g)) == expected, (m, g)
+                assert sf.count_by_polytope(m, g) == len(expected), (m, g)
+
+    def test_counts_sum_to_the_published_genus_row(self):
+        # Every semigroup of genus g >= 1 has a multiplicity in 2..g + 1.
+        for g in range(1, 19):
+            assert sum(sf.count_by_polytope(m, g)
+                       for m in range(2, g + 2)) == A007323[g], g
 
     def test_empty_slices_and_bad_multiplicity(self):
         for m in range(2, 7):

@@ -24,6 +24,11 @@ parentheses):
 - the ``to_json()`` bytes and the ``repr()`` of the report of every
   ``sgforge verify`` sweep and of ``bounds_sweep``, at bounds 2, 9 and 14
   (2 and 9) with ``workers`` 1 and 2, or what a sweep raises there;
+- the Kunz engine: the list of ``kunz_vectors(m, g)`` for every cell
+  1 <= g <= 14 (9), 2 <= m <= g + 1; ``count_by_polytope(m, g)`` for every
+  such cell with g <= 18 (9); both at m = 1, 0 and -3, which raise, and
+  at g = 0 and -1, which are empty; and ``recurrence_bijection_check(m, g)``
+  for every cell with 2g < 3m and g <= 12, or what it raises there;
 - the ``repr()`` of ``strongly_descended_census(enumerate_tree(g))`` on
   the first grid, and of ``weight_data()`` and ``kunz_vector()`` of a few
   fixed semigroups, so a change of record type shows;
@@ -88,6 +93,8 @@ COUNT_BYS = ("genus", "multiplicity", "efficacy", "frobenius")
 def grid(smoke: bool) -> dict:
     return {"genera": range(10 if smoke else 17),
             "collector_genera": range(10 if smoke else 13),
+            "vector_genera": range(10 if smoke else 15),
+            "count_genera": range(10 if smoke else 19),
             "sweep_bounds": (2, 9) if smoke else (2, 9, 14),
             "verify_bounds": ("2", "9") if smoke else ("2", "3", "9"),
             "count_bounds": ("0", "2", "9") if smoke else
@@ -174,6 +181,20 @@ def side_cases(smoke: bool):
         yield (f"strongly_descended_census g={g}",
                shown(lambda: sf.strongly_descended_census(
                    sf.enumerate_tree(g))), "")
+    kunz = {"kunz_vectors": lambda m, g: list(sf.kunz_vectors(m, g)),
+            "count_by_polytope": sf.count_by_polytope}
+    for name, genera in (("kunz_vectors", sizes["vector_genera"]),
+                         ("count_by_polytope", sizes["count_genera"])):
+        cells = [(m, g) for g in genera for m in range(2, g + 2)]
+        cells += [(m, 5) for m in (1, 0, -3)]
+        cells += [(m, g) for g in (0, -1) for m in range(2, 6)]
+        for m, g in cells:
+            yield (f"{name} m={m} g={g}",
+                   shown(lambda: kunz[name](m, g)), "")
+    for g in range(1, 13):
+        for m in range(max(2, 2 * g // 3 + 1), g + 2):
+            yield (f"recurrence_bijection_check m={m} g={g}",
+                   shown(lambda: sf.recurrence_bijection_check(m, g)), "")
     for gens in SEMIGROUPS:
         sg = sf.from_generators(gens)
         yield f"weight_data {gens}", shown(sg.weight_data), ""
