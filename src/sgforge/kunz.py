@@ -7,6 +7,9 @@ integer solution of the system arises this way.  Slicing by coordinate sum
 g counts N(m, g) without the semigroup tree, an oracle independent of the
 walk: one flat backtracking loop over k_1..k_{m-2} finds the interval of
 k_{m-2} left to each valid prefix, and :func:`kunz_vectors` expands them.
+Once no prefix value exceeds 3 and at most one unit of slack is left, every
+tail in {1, 2} is valid (the box Kaplan and Zhao count), so the loop stops
+and counts those tails in closed form.
 """
 
 from __future__ import annotations
@@ -95,23 +98,32 @@ def semigroup_from_kunz(m: int, coords: Sequence[int]) -> NumericalSemigroup:
     raise InvalidKunz(f"({m}, {coords}) violates the inequality system")
 
 
-def _intervals(m: int, g: int) -> Iterator[tuple[list[int], int, int, int]]:
-    """Yield (k, lo, hi, r) for each valid prefix k[1:m-2], in lexicographic
-    order; its vectors end in (t, r - t) for lo <= t <= hi.  k is the loop's
-    own list, so read it before resuming; m = 2 yields ((), g, g, g).  Per
-    position 1..p (p = m - 2) the loop keeps the value k, its upper bound
-    top, the remaining sum rest, and the prefix's least value, largest value
-    and least k_b / b index.  k_pos is bounded above by the partial sum and
-    the caps k_i + k_{pos-i}, below by the wrap bounds k_{i+pos-m} - k_i - 1
-    and the self bound k_{2pos-m} // 2; a prefix whose tail cannot reach the
-    remaining sum is dropped.  At p every bound on k_n = r - t is linear in t.
+def _intervals(m: int,
+               g: int) -> Iterator[tuple[list[int], int, int, int, int]]:
+    """Yield (k, pos, lo, hi, r), hi - lo + 1 vectors, for each valid prefix
+    k[1:pos] with r left to sum, in lexicographic order.  k is the loop's
+    own list, so read it before resuming.  An interval record (pos = p =
+    m - 2) ends in (t, r - t) for lo <= t <= hi.  A tail record (pos < p;
+    m = 2 yields ((), 1, 0, 0, g)) ends in its T = m - pos coordinates:
+    ones, r - T + 1, then u ones, for lo <= u <= hi.  The loop yields one
+    once the slack r - T is 0 or 1 and no prefix value exceeds 3, since
+    every tail in {1, 2}^T is then valid: a cap with its target in the
+    tail reads k <= 2 <= k_i + k_j, a wrap bound with a tail index on its
+    right is at least 3 and bounds a value at most 3, and the prefix's own
+    inequalities were checked as it was built.  Per position 1..p the
+    loop keeps the value k, its upper bound top, the remaining sum rest,
+    and the prefix's least value, largest value and least k_b / b index.
+    k_pos is bounded above by the partial sum and the caps k_i + k_{pos-i},
+    below by the wrap bounds k_{i+pos-m} - k_i - 1 and the self bound
+    k_{2pos-m} // 2; a prefix whose tail cannot reach the remaining sum is
+    dropped.  At p every bound on k_n = r - t is linear in t.
     """
     if m < 2:
         raise MultiplicityOne("multiplicity must be at least 2")
-    if g < 1:
+    if g < m - 1:                 # 1..m-1 are gaps
         return
     if m == 2:
-        yield (), g, g, g
+        yield (), 1, 0, 0, g
         return
     n, p = m - 1, m - 2
     k = [0] * m                   # 1-based
@@ -122,24 +134,29 @@ def _intervals(m: int, g: int) -> Iterator[tuple[list[int], int, int, int]]:
     while True:
         r, low, high = rest[pos], lows[pos], highs[pos]
         hi = r - (n - pos)
-        tail = n - pos + 1
-        if pos > 1 and r > tail * high:
-            # c steps of k_j <= k_b + k_{j-b} give k_j <= c * k_b + high.
-            b = best[pos]
-            q, s = divmod(tail, b)
-            if r > tail * high + k[b] * (b * q * (q + 1) // 2 + s * (q + 1)):
-                hi = 0
-        if 2 * low < hi:              # else no cap is below hi
-            for i in range(1, pos // 2 + 1):
-                cap = k[i] + k[pos - i]
-                if cap < hi:
-                    hi = cap
-        lo = k[2 * pos - m] // 2 or 1 if 2 * pos > m else 1
-        if high - low - 1 > lo:       # else no wrap bound is above lo
-            for i in range(m - pos + 1, pos):
-                need = k[i + pos - m] - k[i] - 1
-                if need > lo:
-                    lo = need
+        if hi < 3 and high < 4 and pos < p:
+            # Slack hi - 1 <= 1 and no prefix value above 3: a tail record.
+            yield k, pos, 0, (hi - 1) * (n - pos), r
+            lo = hi + 1               # backtrack
+        else:
+            tail = n - pos + 1
+            if pos > 1 and r > tail * high:
+                # c steps of k_j <= k_b + k_{j-b} give k_j <= c * k_b + high.
+                b = best[pos]
+                q, s = divmod(tail, b)
+                if r > tail * high + k[b] * ((b * q + 2 * s) * (q + 1) // 2):
+                    hi = 0
+            if 2 * low < hi:          # else no cap is below hi
+                for i in range(1, pos // 2 + 1):
+                    cap = k[i] + k[pos - i]
+                    if cap < hi:
+                        hi = cap
+            lo = k[2 * pos - m] // 2 or 1 if 2 * pos > m else 1
+            if high - low - 1 > lo:   # else no wrap bound is above lo
+                for i in range(m - pos + 1, pos):
+                    need = k[i + pos - m] - k[i] - 1
+                    if need > lo:
+                        lo = need
         if pos < p and lo <= hi:
             top[pos], v = hi, lo
         else:
@@ -160,7 +177,7 @@ def _intervals(m: int, g: int) -> Iterator[tuple[list[int], int, int, int]]:
                         if cap < hi:
                             hi = cap
                 if lo <= hi:
-                    yield k, lo, hi, r
+                    yield k, p, lo, hi, r
             # Advance the deepest earlier position still below its top.
             pos -= 1
             while pos and k[pos] == top[pos]:
@@ -179,19 +196,21 @@ def _intervals(m: int, g: int) -> Iterator[tuple[list[int], int, int, int]]:
 
 def kunz_vectors(m: int, g: int) -> Iterator[tuple[int, ...]]:
     """All Kunz vectors of multiplicity m and genus g, lazily and in
-    lexicographic order: each interval of :func:`_intervals` expanded."""
-    for k, lo, hi, r in _intervals(m, g):
-        if m == 2:
-            yield (r,)
-        else:
-            pre = tuple(k[1:m - 2])
+    lexicographic order: each record of :func:`_intervals` expanded."""
+    for k, pos, lo, hi, r in _intervals(m, g):
+        pre = tuple(k[1:pos])
+        if pos == m - 2:
             for t in range(lo, hi + 1):
                 yield (*pre, t, r - t)
+        else:
+            ones = (1,) * (m - 1 - pos)
+            for u in range(lo, hi + 1):
+                yield (*pre, *ones[u:], r - len(ones), *ones[:u])
 
 
 def count_by_polytope(m: int, g: int) -> int:
-    """N(m, g): the slice's lattice points, counted by interval lengths."""
-    return sum(hi - lo + 1 for _, lo, hi, _ in _intervals(m, g))
+    """N(m, g): the slice's lattice points, counted by record lengths."""
+    return sum(hi - lo + 1 for _, _, lo, hi, _ in _intervals(m, g))
 
 
 def recurrence_bijection_check(m: int, g: int) -> tuple[bool, list[dict]]:

@@ -213,6 +213,49 @@ class TestKunzVectors:
                             <= sum(pre) + _max_tail(m, pre)), (p, x)
 
 
+class TestTailRecords:
+    # Once the sum left exceeds the tail's length by at most 1 and no prefix
+    # value exceeds 3, the loop counts the prefix's tails in {1, 2} without
+    # visiting them.
+
+    def test_every_tail_of_ones_and_twos_is_valid(self):
+        # The rule itself, without the loop: a prefix with values in
+        # {1, 2, 3} that keeps the inequalities among its own indices,
+        # followed by any tail in {1, 2}, is a Kunz vector.
+        for m in range(3, 10):
+            for size in range(m - 1):
+                for pre in product((1, 2, 3), repeat=size):
+                    if pre and not _two_case_kunz(m, pre):
+                        continue
+                    for tail in product((1, 2), repeat=m - 1 - size):
+                        assert sf.satisfies_kunz(m, pre + tail), (pre, tail)
+
+    def test_the_prefix_bound_is_needed(self):
+        # With a 4 in the prefix an all-ones tail can break a wrap bound:
+        # k_2 + k_3 + 1 >= k_1 fails at m = 4.
+        assert _two_case_kunz(4, (4,))
+        assert not sf.satisfies_kunz(4, (4, 1, 1))
+        assert (4, 1, 1) not in list(sf.kunz_vectors(4, 6))
+
+    def test_cells_counted_from_the_first_position(self):
+        # At g = m - 1 the only vector is all ones; at g = m the one 2 sits
+        # at each position in turn, moving left.
+        for m in range(2, 61):
+            ones = (1,) * (m - 1)
+            assert sf.count_by_polytope(m, m - 1) == 1
+            assert sf.count_by_polytope(m, m) == m - 1
+            assert list(sf.kunz_vectors(m, m - 1)) == [ones]
+            assert list(sf.kunz_vectors(m, m)) == [
+                ones[:j] + (2,) + ones[j + 1:] for j in reversed(range(m - 1))]
+
+    def test_vectors_and_count_agree(self):
+        # Past the brute-force test's m <= 9, g <= 13.
+        for g in range(1, 18):
+            for m in range(2, g + 2):
+                assert len(list(sf.kunz_vectors(m, g))) \
+                    == sf.count_by_polytope(m, g), (m, g)
+
+
 class TestRecurrenceBijection:
     @pytest.mark.parametrize("m,g", [(7, 10), (9, 10), (3, 3), (5, 7), (8, 11)])
     def test_examples_hold(self, m, g):

@@ -26,9 +26,12 @@ parentheses):
   (2 and 9) with ``workers`` 1 and 2, or what a sweep raises there;
 - the Kunz engine: the list of ``kunz_vectors(m, g)`` for every cell
   1 <= g <= 14 (9), 2 <= m <= g + 1; ``count_by_polytope(m, g)`` for every
-  such cell with g <= 18 (9); both at m = 1, 0 and -3, which raise, and
-  at g = 0 and -1, which are empty; and ``recurrence_bijection_check(m, g)``
-  for every cell with 2g < 3m and g <= 12, or what it raises there;
+  such cell with g <= 18 (9); both on the band m - 1 <= g <= m + 2 for
+  2 <= m <= 40 (12), where the loop counts whole tails in {1, 2} from its
+  first positions and which no other case reaches at large m; both at
+  m = 1, 0 and -3, which raise, and at g = 0 and -1, which are empty; and
+  ``recurrence_bijection_check(m, g)`` for every cell with 2g < 3m and
+  g <= 12, or what it raises there;
 - the ``repr()`` of ``strongly_descended_census(enumerate_tree(g))`` on
   the first grid, and of ``weight_data()`` and ``kunz_vector()`` of a few
   fixed semigroups, so a change of record type shows;
@@ -95,6 +98,7 @@ def grid(smoke: bool) -> dict:
             "collector_genera": range(10 if smoke else 13),
             "vector_genera": range(10 if smoke else 15),
             "count_genera": range(10 if smoke else 19),
+            "band_multiplicities": range(2, 13 if smoke else 41),
             "sweep_bounds": (2, 9) if smoke else (2, 9, 14),
             "verify_bounds": ("2", "9") if smoke else ("2", "3", "9"),
             "count_bounds": ("0", "2", "9") if smoke else
@@ -186,9 +190,11 @@ def side_cases(smoke: bool):
     for name, genera in (("kunz_vectors", sizes["vector_genera"]),
                          ("count_by_polytope", sizes["count_genera"])):
         cells = [(m, g) for g in genera for m in range(2, g + 2)]
+        cells += [(m, g) for m in sizes["band_multiplicities"]
+                  for g in range(m - 1, m + 3)]
         cells += [(m, 5) for m in (1, 0, -3)]
         cells += [(m, g) for g in (0, -1) for m in range(2, 6)]
-        for m, g in cells:
+        for m, g in dict.fromkeys(cells):
             yield (f"{name} m={m} g={g}",
                    shown(lambda: kunz[name](m, g)), "")
     for g in range(1, 13):
