@@ -499,6 +499,8 @@ def concentration_stats(table: CensusTable) -> dict[int, dict[str, float]]:
 
 def concentration_sweep(g_max: int, eps: float, *,
                         workers: int = 1) -> dict[int, dict[str, float]]:
+    if not eps > 0:           # NaN too: both windows would be empty
+        raise ValueError("eps must be positive")
     table = enumerate_tree(
         g_max, workers=workers,
         collectors={"concentration": partial(ConcentrationCollector, eps)},

@@ -15,40 +15,37 @@ is set), eff is the sorted tuple of effective generators, mem the sorted
 tuple of members up to the probes' reach (below), mg the bitmask of
 minimal generators (its bit count is the embedding dimension), and
 strong_in records whether the edge into this node removed a strong
-generator.  The walk tallies every node but the root into a table
+generator.  The walk tallies every node below its root into a table
 in its parent's loop (:func:`collect` skips it), and hands the tuple
 itself to each collector.  Children with no admissible edge (at depth
-g_max, or with no effective generator within the edge bound), the
-ordinary child too, are visited there, never pushed.  A tally run
-without collectors builds no child at depth g_max - 1 of a non-ordinary
-node either: its children are tallied in the grandparent's loop.
+g_max, or with no effective generator within the edge bound) are visited
+there, never pushed.  A tally run without collectors builds no child at
+depth g_max - 1 of a non-ordinary node either: its children are tallied
+in the grandparent's loop.
 
-Descending along lam updates everything incrementally: the child's minimal
-generators are the parent's minus lam, plus m + lam exactly when lam is
-strong (plus 2m + 1 as well in the one case lam == m, which turns an
-ordinary semigroup into the next ordinary semigroup).  Strength of lam is
-the membership probe of ``core._is_strong``, which the walk inlines over
-mem: lam is strong unless some member u in (m, (m + lam)/2] has
-m + lam - u in S.
+Every run cuts the tree at the spine, the chain of ordinary semigroups
+{0, m, m+1, ...}.  Removing m from one of them yields the next, and no
+other edge changes the multiplicity.  :func:`_spine` builds and tallies
+each ordinary node in closed form and walks it; that walk skips the edge
+that removes m, visits the node's childless other children and returns
+the rest, the job roots.  Each removes some lam in (m, 2m) from a spine
+node, so its Frobenius number exceeds its multiplicity and no node of its
+subtree is ordinary: a walk from a job root descends everywhere and
+returns nothing.
+
+Descending along lam updates everything incrementally and keeps m: the
+child's minimal generators are the parent's minus lam, plus m + lam
+exactly when lam is strong.  Strength of lam is the membership probe of
+``core._is_strong``, which the walk inlines over mem: lam is strong
+unless some member u in (m, (m + lam)/2] has m + lam - u in S.
 
 The reach: a child's Frobenius number is the generator removed, and
 F <= 2g - 1 for every semigroup of genus g >= 1, so no edge within depth
-g_max removes more than lam_top = min(2*g_max - 1, lam_max).  Only an
-ordinary node (F < m) has m among its effective generators, so every
-other child keeps m, and so does its whole subtree.  No probe at or below
-a node of multiplicity m thus reads a member past (m + lam_top) // 2.  An
-off-spine node's mem is exactly its members in (m, (m + lam_top) // 2]:
-each spine node cuts its own tuple there once for its non-ordinary
-children, and a child drops lam from mem only when lam lies inside it.
-The root's tuple follows the same rule at m = g_max with no Frobenius
-bound, which covers every spine node with children.
-
-Every walk from the root cuts the tree at the spine, the chain of ordinary
-semigroups {0, m, m+1, ...}: it descends only along the spine and returns
-the spine nodes' other children that have children of their own, the job
-roots.  Each removes some lam in (m, 2m) from a spine node, so its
-Frobenius number exceeds its multiplicity and no node of its subtree is
-ordinary: a walk from a job root descends everywhere and returns nothing.
+g_max removes more than lam_top = min(2*g_max - 1, lam_max).  No probe at
+or below a node of multiplicity m thus reads a member past
+(m + lam_top) // 2, and every node's mem is exactly its members in
+(m, (m + lam_top) // 2]: the spine builds each ordinary node's tuple so,
+and a child drops lam from mem only when lam lies inside it.
 Each batch of consecutive job roots walks into one fresh table (unless the
 run counts nothing) and fresh collectors, which the run adds and merges in
 batch order, whatever the worker count; a pool needs two processes or more.
@@ -150,6 +147,8 @@ class Collector(Protocol):
     ``TreeFrame(node)`` derives the rest.  The walk is pre-order: the last
     node visited at depth g - 1 is the parent of a node at depth g, except
     at the root and each job root; confirm it by ``mask | (1 << frobenius)``.
+    Each ordinary node is visited after its parent's childless other
+    children, and before its own.
     """
 
     def visit(self, node: tuple) -> None: ...
@@ -280,51 +279,29 @@ class CensusTable:
         return [(*divmod(i, hw), c) for i, c in enumerate(self.t_gh_flat) if c]
 
 
-def _reach(m: int, lam_top: int) -> int:
-    # The largest member a strength probe reads at or below a node of
-    # multiplicity m, when no edge below it removes more than lam_top.
-    return (m + lam_top) >> 1
-
-
 def _lam_top(g_max: int, lam_max: int) -> int:
     # A child's Frobenius number is the generator removed, and F <= 2g - 1
     # for genus g >= 1, so no edge within depth g_max removes more.
     return min(2 * g_max - 1, lam_max)
 
 
-def _root_frame(g_max: int) -> tuple:
-    # Spine nodes have multiplicity m <= g_max when they have children.
-    full = (1 << (3 * g_max + 4)) - 1
-    top = _reach(g_max, _lam_top(g_max, 3 * g_max + 3))
-    return (full, 0, 1, -1, (1,), tuple(range(2, top + 1)), 1 << 1, True)
-
-
-def _tally_root(table):
-    # The root {0, 1, 2, ...}: g = 0, m = 1, h = 1, strong by convention,
-    # and F = -1 < 2m, with no ns(F) or Wilf test.
-    table.n_mg_flat[table.g_max + 1] += 1
-    table.t_gh_flat[1] += 1
-    table.s_gh_flat[1] += 1
-    table.f_lt_2m[0] += 1
-    table.f_lt_3m[0] += 1
-
-
 def _walk(root, g_max, lam_max, table, collectors=()):
     """Tally the descendants of ``root`` into ``table`` and return the jobs.
 
+    No edge here changes the multiplicity m: from an ordinary ``root``
+    (F < m, a spine node) the walk skips the first edge, which removes m
+    and which :func:`_spine` follows, and no other node is ordinary.
     Every node below ``root`` within depth g_max and edge bound lam_max is
-    tallied once, in its parent's loop (the caller tallies ``root``), unless
-    ``table`` is None: one test per edge then skips the tally, not the jobs.
-    Children with no admissible edge (at depth g_max, or with no effective
-    generator <= lam_max) are handed to each collector there and never
-    pushed.  With a table and no collectors, neither is a child at depth
-    g_max - 1 of a non-ordinary node: a second block there tallies its
-    children.  An ordinary node (F < m) pushes only its ordinary child
-    (lam == m) and returns, unvisited, each other child with an admissible
-    edge: the job roots, in (depth, Frobenius number) order.  Every other
-    node pushes the rest, so the walk visits everything below ``root``
-    but the job roots' subtrees, in pre-order, and a walk from a job root,
-    which has no ordinary node below it, returns [].
+    then tallied once, in its parent's loop (the caller tallies ``root``),
+    unless ``table`` is None: one test per edge then skips the tally, not
+    the jobs.  Children with no admissible edge (at depth g_max, or with
+    no effective generator <= lam_max) are handed to each collector there
+    and never pushed.  With a table and no collectors, neither is a child
+    at depth g_max - 1 of a non-ordinary node: a second block there
+    tallies its children.  An ordinary root returns, unvisited, each of
+    its other children with an admissible edge: the job roots, in
+    Frobenius number order.  Every other node pushes them, so a walk from
+    a job root visits its whole subtree in pre-order and returns [].
     """
     tally = table is not None
     bare = tally and not collectors
@@ -359,46 +336,40 @@ def _walk(root, g_max, lam_max, table, collectors=()):
         m2 = m + m
         last = g1 == g_max
         fold = bare and g1 + 1 == g_max and F > m
-        top = (m + lam_top) >> 1       # _reach(m, lam_top), inlined
-        for i in range(h):
+        top = (m + lam_top) >> 1       # the probes' reach at or below
+        # An ordinary root skips removing m: _spine builds that child.
+        for i in range(F < m, h):
             lam = eff[i]
             if lam > lam_max:
                 break
             x = m + lam
             strong = True
-            if lam == m:
-                # Ordinary node: removing the multiplicity itself yields the
-                # next ordinary semigroup, which gains 2m + 1 as well.
-                mc = m + 1
-            else:
-                mc = m
-                # core._is_strong, inlined and run over mem: a call per edge
-                # costs ~6% of the walk, and testing every u in (m, x/2]
-                # against B instead made enumerate_tree(24) 24-40% slower
-                # (2 vCPUs, Python 3.11).
-                for u in mem:
-                    if u + u > x:
-                        break
-                    if (B >> (x - u)) & 1:
-                        strong = False
-                        break
+            # core._is_strong, inlined and run over mem: a call per edge
+            # costs ~6% of the walk, and testing every u in (m, x/2]
+            # against B instead made enumerate_tree(24) 24-40% slower
+            # (2 vCPUs, Python 3.11).
+            for u in mem:
+                if u + u > x:
+                    break
+                if (B >> (x - u)) & 1:
+                    strong = False
+                    break
             # A child at depth g_max, or with no effective generator
             # (eff[i + 1:], plus x when strong) up to lam_max, has no
             # admissible edge: it is visited here and never pushed.
             leaf = last or (not (strong and x <= lam_max)
                             and (i + 1 == h or eff[i + 1] > lam_max))
             if tally:
-                # The tally block for the child (g1, mc, hc, ec, F = lam):
-                # it keeps eff[i + 1:] and mg but lam, plus x if strong, plus
-                # 2m + 1 if ordinary (mc = m + 1, strong, and lam = m < 2m).
+                # The tally block for the child (g1, m, hc, ec, F = lam): it
+                # keeps eff[i + 1:] and mg but lam, plus x if strong.
                 if strong:
-                    hc = h - i + mc - m
-                    ec = e + mc - m
+                    hc = h - i
+                    ec = e
                     sgh[g1 * hw + hc] += 1
                 else:
                     hc = h - i - 1
                     ec = e - 1
-                nmg[mc * width + g1] += 1
+                nmg[m * width + g1] += 1
                 tgh[g1 * hw + hc] += 1
                 if lam < m2:
                     f2m[g1] += 1
@@ -452,33 +423,58 @@ def _walk(root, g_max, lam_max, table, collectors=()):
             mgc = mg ^ (1 << lam)
             if strong:
                 mgc |= 1 << x
-            if lam == m:
-                rest += (x + 1,)
-                mgc |= 2 << x
-                memc = None if leaf else mem[1:]
-                # Its siblings keep multiplicity m, and so do all their
-                # descendants: cut the spine's members (m, ...] to the
-                # reach once for all of them.
-                mem = mem[:top - m]
-            elif leaf:
+            if leaf:
                 memc = None
             elif lam <= top:
                 j = mem.index(lam)
                 memc = mem[:j] + mem[j + 1:]
             else:
                 memc = mem
-            child = (B ^ (1 << lam), g1, mc, lam, rest, memc, mgc, strong)
+            child = (B ^ (1 << lam), g1, m, lam, rest, memc, mgc, strong)
             if leaf:
                 for coll in collectors:
                     coll.visit(child)
-            elif F < m and lam != m:
-                # An ordinary node's children but the next ordinary one
-                # are job roots.  Tested per pushed child: a per-node test
-                # ran 1.6% more bytecodes in enumerate_tree(24), this 0.4%.
+            elif F < m:
+                # An ordinary node's children with an edge are job roots.
+                # Tested per pushed child: a per-node test ran 1.6% more
+                # bytecodes in enumerate_tree(24), this 0.4%.
                 frontier.append(child)
             else:
                 push(child)
     return frontier
+
+
+def _spine(g_max, lam_max, table, collectors=()):
+    """Tally and walk the spine; return the job roots in (depth, F) order.
+
+    The ordinary semigroup {0, m, m+1, ...} of genus g <= min(g_max,
+    lam_max) has m = h = e = g + 1, its minimal generators m .. 2m - 1,
+    and F = g (-1 at the root) < 2m.  It is tallied here in closed form:
+    strongly descended (the root by convention), never a Wilf violation,
+    and with ns(F) for g >= 1.  Its node holds its members up to its own
+    reach, and :func:`_walk` from it visits it, tallies and visits its
+    childless other children, and returns the rest.
+    """
+    lam_top = _lam_top(g_max, lam_max)
+    full = (1 << (3 * g_max + 4)) - 1
+    width = g_max + 1
+    hw = g_max + 3
+    jobs = []
+    for g in range(min(g_max, lam_max) + 1):
+        m = g + 1
+        if table is not None:
+            table.n_mg_flat[m * width + g] += 1
+            table.t_gh_flat[g * hw + m] += 1
+            table.s_gh_flat[g * hw + m] += 1
+            table.f_lt_2m[g] += 1
+            table.f_lt_3m[g] += 1
+            if g:
+                table.ns_flat[g] += 1
+        node = (full ^ ((1 << m) - 2), g, m, g or -1, tuple(range(m, m + m)),
+                tuple(range(m + 1, ((m + lam_top) >> 1) + 1)),
+                ((1 << m) - 1) << m, True)
+        jobs += _walk(node, g_max, lam_max, table, collectors)
+    return jobs
 
 
 def _count_walk(payload):
@@ -538,8 +534,8 @@ def _subtree_job(payload):
 
 
 def _run(g_max, collectors, frobenius_max, workers, count, count_only=False):
-    # Walk the spine from the root, into a table when ``count``, then the job
-    # batches (by _count_walk if count_only), merged in order; returns both.
+    # Walk the spine, into a table when ``count``, then the job batches (by
+    # _count_walk if count_only), merged in order; returns both.
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     if workers < 1:
@@ -555,9 +551,7 @@ def _run(g_max, collectors, frobenius_max, workers, count, count_only=False):
         table = CensusTable(g_max, ns_cap)
         table.pruned = lam_max < 2 * g_max - 1     # F <= 2g - 1 at genus g
         table.extras = extras
-        _tally_root(table)
-    frontier = _walk(_root_frame(g_max), g_max, lam_max, table,
-                     list(extras.values()))
+    frontier = _spine(g_max, lam_max, table, list(extras.values()))
     n = len(frontier)
     # os.cpu_count() also counts CPUs outside this process's affinity.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

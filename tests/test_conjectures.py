@@ -15,7 +15,7 @@ from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
                                  OrdinarizationCollector,
                                  StrongClassCollector)
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
-from test_tree import FIG1, brute_force_gapsets
+from test_tree import FIG1, NodeLog, brute_force_gapsets
 
 
 class TestWilf:
@@ -377,12 +377,13 @@ class TestIncrementalCollectors:
         # The root, and each job root: its parent is a spine node, which no
         # batch visits, whatever ``workers`` is.  Childless children are
         # visited in their parent's loop, so none of them roots a job.
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        from sgforge.tree import CensusTable, _spine
 
         g = self.G_MAX
-        root = _root_frame(g)
-        jobs = _walk(root, g, 3 * g + 3, CensusTable(g, g),
-                     [EwtMaxCollector()])
+        nodes = []
+        jobs = _spine(g, 3 * g + 3, CensusTable(g, g),
+                      [EwtMaxCollector(), NodeLog(nodes)])
+        root = nodes[0]
         return sorted(frame[0] for frame in [root, *jobs])
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -615,6 +616,13 @@ class TestConcentration:
         seq = sf.concentration_sweep(9, 0.25)
         par = sf.concentration_sweep(9, 0.25, workers=3)
         assert seq == par
+
+    @pytest.mark.parametrize("eps", [0, -1.0, float("nan")])
+    def test_nonpositive_eps_rejected(self, eps):
+        # Both windows would be empty, and the fractions would read 0.0
+        # as if they had been measured.
+        with pytest.raises(ValueError, match="eps must be positive"):
+            sf.concentration_sweep(3, eps)
 
     def test_eps_quarter_matches_kunz_oracle(self):
         # The three fractions at g = 14 and g = 20 equal counts over every

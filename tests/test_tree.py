@@ -617,16 +617,15 @@ class TestDeterminism:
     def test_merge_is_commutative_monoid_on_counts(self):
         # Split at the spine by hand and add one table per job root back,
         # as _run adds its batches' tables, in both orders.  The spine walk
-        # tallies the job roots in their parents' loops, and each job only
-        # their descendants; the root is tallied apart.
-        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
+        # tallies the spine nodes and the job roots in their parents'
+        # loops, and each job only their descendants.
+        from sgforge.tree import CensusTable, _spine
 
         g_max = 9
 
         def spine():
             table = CensusTable(g_max, g_max)
-            _tally_root(table)
-            return table, _walk(_root_frame(g_max), g_max, 100, table)
+            return table, _spine(g_max, 100, table)
 
         left, frontier = spine()
         right, _ = spine()
@@ -640,16 +639,16 @@ class TestDeterminism:
         assert left.counts_equal(sf.enumerate_tree(g_max))
 
     def test_spine_frontier_covers_tree_and_balances(self):
-        from sgforge.tree import CensusTable, _root_frame, _tally_root, _walk
+        from sgforge.tree import CensusTable, _spine
 
         g_max = 18
         lam_max = 3 * g_max + 3
         spine = CensusTable(g_max, g_max)
-        _tally_root(spine)
-        jobs = _walk(_root_frame(g_max), g_max, lam_max, spine)
-        # The calling process tallies the root, the ordinary semigroups
-        # (genus g, multiplicity g + 1) and every other child of a spine
-        # node, job roots included; a job counts its root's descendants.
+        jobs = _spine(g_max, lam_max, spine)
+        # The calling process tallies the ordinary semigroups (genus g,
+        # multiplicity g + 1), the root among them, and every other child
+        # of a spine node, job roots included; a job counts its root's
+        # descendants.
         # Every job roots a subtree of more than one node.
         for g in range(g_max + 1):
             assert spine.n_mg(g + 1, g) == 1
@@ -666,21 +665,20 @@ class TestDeterminism:
     def test_spine_frontier_ignores_collectors(self, g_max, f_max):
         # Collector walks fold childless children too, so they ship the
         # same jobs as count-only walks and tally the same spine.  The
-        # spine walk visits the root, which the caller tallies, and tallies
+        # spine walk visits and tallies every node it reaches, and tallies
         # each job root, which its job visits.
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        from sgforge.tree import CensusTable, _spine
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         plain = CensusTable(g_max, g_max)
         rich = CensusTable(g_max, g_max)
         coll = GapSetCollector()
-        root = _root_frame(g_max)
-        jobs = _walk(root, g_max, lam_max, plain)
+        jobs = _spine(g_max, lam_max, plain)
         assert jobs
-        assert _walk(root, g_max, lam_max, rich, [coll]) == jobs
+        assert _spine(g_max, lam_max, rich, [coll]) == jobs
         assert rich.counts_equal(plain)
         visited = sum(map(len, coll.by_genus.values()))
-        assert visited - 1 + len(jobs) == sum(plain.n_of_g)
+        assert visited + len(jobs) == sum(plain.n_of_g)
 
     @pytest.mark.parametrize("lam_max", ["3g+3", 9, 20])
     @pytest.mark.parametrize("g_max", [*range(15), 24])
@@ -690,7 +688,7 @@ class TestDeterminism:
         # admissible edge; built here with core, in (depth, F) order.  The
         # spine walk must yield exactly those, in that order, and each
         # removes lam in (m, 2m), so no job root is ordinary (F > m).
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        from sgforge.tree import CensusTable, _spine
 
         lam_max = 3 * g_max + 3 if lam_max == "3g+3" else lam_max
         expected = []
@@ -704,14 +702,63 @@ class TestDeterminism:
                        for t in child.effective_generators()):
                     expected.append((child.genus, child.multiplicity,
                                      child.frobenius, child.gaps()))
-        frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable(g_max, min(g_max, lam_max)))
+        frames = _spine(g_max, lam_max, CensusTable(g_max, min(g_max, lam_max)))
         got = [(f[1], f[2], f[3], sf.TreeFrame(f).gap_tuple())
                for f in frames]
         assert got == expected
         keys = [(f[1], f[3]) for f in frames]
         assert keys == sorted(set(keys))
         assert all(f[3] > f[2] for f in frames)
+
+    @pytest.mark.parametrize("g_max", range(25))
+    def test_spine_nodes_and_tallies_from_first_principles(self, g_max):
+        # _spine writes each ordinary node out and tallies it in closed
+        # form.  Every ordinary node it visits must be sf.ordinary(g) bit
+        # for bit, with its members up to the reach, and its table must
+        # equal a tally of every node it reaches (the nodes it visits and
+        # the job roots) computed from each node's semigroup.
+        from sgforge.tree import CensusTable, _spine
+
+        width = g_max + 1
+        hw = g_max + 3
+        for f_max in [None, *sorted({1, 3, g_max // 2 + 1, g_max + 3,
+                                     2 * g_max + 1})]:
+            lam_max = 3 * g_max + 3 if f_max is None else f_max
+            lam_top = min(2 * g_max - 1, lam_max)
+            cap = min(g_max, lam_max)
+            table = CensusTable(g_max, cap)
+            nodes = []
+            jobs = _spine(g_max, lam_max, table, [NodeLog(nodes)])
+            spine = [node for node in nodes if node[3] < node[2]]
+            assert [node[1] for node in spine] == list(range(cap + 1))
+            for mask, g, m, f, eff, mem, mg, _ in spine:
+                sg = sf.ordinary(g)
+                assert mask == sum(1 << u for u in range(3 * g_max + 4)
+                                   if u in sg), (f_max, g)
+                assert (m, f) == (sg.multiplicity, sg.frobenius), (f_max, g)
+                assert eff == tuple(t.value for t in sg.effective_generators()
+                                    if t.effective), (f_max, g)
+                assert mem == tuple(u for u in range(m + 1,
+                                                     (m + lam_top) // 2 + 1)
+                                    if u in sg), (f_max, g)
+                assert mg == sum(1 << x for x in sg.min_generators), (f_max, g)
+                assert table.n_mg(g + 1, g) == 1, (f_max, g)
+            expected = CensusTable(g_max, cap)
+            for node in nodes + jobs:
+                sg = sf.TreeFrame(node).semigroup
+                g, m, f = sg.genus, sg.multiplicity, sg.frobenius
+                h, e = sg.efficacy, len(sg.min_generators)
+                expected.n_mg_flat[m * width + g] += 1
+                expected.t_gh_flat[g * hw + h] += 1
+                if g == 0 or sf.descent_strength(
+                        sf.from_gaps(sg.gaps()[:-1]), f) is sf.Strength.STRONG:
+                    expected.s_gh_flat[g * hw + h] += 1
+                expected.f_lt_2m[g] += f < 2 * m
+                expected.f_lt_3m[g] += f < 3 * m
+                if 1 <= f <= cap:
+                    expected.ns_flat[f] += 1
+                expected.wilf_violations[g] += f + 1 > (f + 1 - g) * e
+            assert table.counts_equal(expected), f_max
 
     @staticmethod
     def _inline_pool(monkeypatch, cpus):
@@ -777,9 +824,7 @@ class TestDeterminism:
         g_max = 18
         total = sum(sf.enumerate_tree(g_max, workers=2).n_of_g)
         spine = tree.CensusTable(g_max, g_max)
-        tree._tally_root(spine)
-        roots = tree._walk(tree._root_frame(g_max), g_max, 3 * g_max + 3,
-                           spine)
+        roots = tree._spine(g_max, 3 * g_max + 3, spine)
         assert len(loads) == 2 * tree._BATCHES_PER_PROCESS
         # The spine walk tallies the job roots, which their batches hold.
         assert sum(spine.n_of_g) - len(roots) + sum(loads) == total
@@ -820,12 +865,11 @@ class TestDeterminism:
     def test_walk_from_a_job_root_returns_nothing(self, g_max, f_max):
         # No node below a job root is ordinary, so its walk descends
         # everywhere, as the pool's jobs do, and yields no further job.
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        from sgforge.tree import CensusTable, _spine, _walk
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
         cap = min(g_max, lam_max)
-        frames = _walk(_root_frame(g_max), g_max, lam_max,
-                       CensusTable(g_max, cap))
+        frames = _spine(g_max, lam_max, CensusTable(g_max, cap))
         assert frames
         for frame in frames:
             assert _walk(frame, g_max, lam_max,
@@ -836,16 +880,15 @@ class TestDeterminism:
     def test_walk_without_a_table_returns_the_same_jobs(self, g_max, f_max):
         # With no table the walk skips only the tally: the same job roots,
         # in the same order, and the same nodes visited on the way.
-        from sgforge.tree import CensusTable, _root_frame, _walk
+        from sgforge.tree import CensusTable, _spine
 
         lam_max = 3 * g_max + 3 if f_max is None else f_max
-        root = _root_frame(g_max)
         counted, bare = [], []
-        frames = _walk(root, g_max, lam_max,
-                       CensusTable(g_max, min(g_max, lam_max)),
-                       [NodeLog(counted)])
-        assert _walk(root, g_max, lam_max, None, [NodeLog(bare)]) == frames
-        assert _walk(root, g_max, lam_max, None) == frames
+        frames = _spine(g_max, lam_max,
+                        CensusTable(g_max, min(g_max, lam_max)),
+                        [NodeLog(counted)])
+        assert _spine(g_max, lam_max, None, [NodeLog(bare)]) == frames
+        assert _spine(g_max, lam_max, None) == frames
         assert bare == counted
 
     @pytest.mark.parametrize("g_max", [0, 1, 2])
