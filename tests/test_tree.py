@@ -702,7 +702,8 @@ class TestDeterminism:
                        for t in child.effective_generators()):
                     expected.append((child.genus, child.multiplicity,
                                      child.frobenius, child.gaps()))
-        frames = _spine(g_max, lam_max, CensusTable(g_max, min(g_max, lam_max)))
+        frames = _spine(g_max, lam_max,
+                        CensusTable(g_max, min(g_max, lam_max)))
         got = [(f[1], f[2], f[3], sf.TreeFrame(f).gap_tuple())
                for f in frames]
         assert got == expected
