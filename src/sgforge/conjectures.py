@@ -2,8 +2,9 @@
 conjectures that are checkable at desk scale.
 
 Each sweep returns a :class:`VerificationReport`; an empty violation list
-means the property held everywhere on the swept range; a bound that would
-leave nothing to check, or a Frobenius-pruned census, raises ValueError.
+means the property held everywhere on the swept range; a Frobenius-pruned
+census raises ValueError, and so does a bound that would leave nothing to
+check, through one helper (``buchweitz_sweep`` words its own).
 Witnesses carry enough of the offending semigroup (its gap set) to
 re-verify standalone.  :data:`SWEEPS` holds the ``sgforge verify`` names,
 each with its default bound and CSV table.
@@ -59,6 +60,13 @@ def _census(census: CensusTable | None, g_max: int,
     return census
 
 
+def _require_bound(name: str, bound: int, least: int, what: str) -> None:
+    # The one rule for a sweep bound under which nothing would be checked.
+    if bound < least:
+        raise ValueError(f"{name} must be >= {least}; smaller bounds leave "
+                         f"no {what} to check")
+
+
 def _add_counts(mine: dict, theirs: dict) -> None:
     for key, c in theirs.items():
         mine[key] = mine.get(key, 0) + c
@@ -90,9 +98,7 @@ def wilf_sweep(g_max: int, *, workers: int = 1,
     g_max first.
     """
     census = _census(census, g_max, workers)
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "genus to check")
+    _require_bound("g_max", g_max, 1, "genus")
     violations = [
         {"gaps": list(gaps),
          "generators": list(NumericalSemigroup(gaps).min_generators)}
@@ -136,9 +142,7 @@ def ye_identity(g: int, census: CensusTable) -> YeCheck:
 def ye_sweep(g_max: int, *, census: CensusTable | None = None,
              workers: int = 1) -> VerificationReport:
     """Identity plus its corollary N(g+2) >= N(g+1) - N(g) for g <= g_max."""
-    if g_max < 0:
-        raise ValueError("g_max must be >= 0; smaller bounds leave no "
-                         "genus to check")
+    _require_bound("g_max", g_max, 0, "genus")
     census = _census(census, g_max + 2, workers)
     violations = []
     for g in range(g_max + 1):
@@ -192,9 +196,7 @@ def zhai_sweep(f_max: int, *, workers: int = 1) -> VerificationReport:
 
     The first class is (2, 3), so f_max < 3 would check nothing.
     """
-    if f_max < 3:
-        raise ValueError("f_max must be >= 3; smaller bounds leave no "
-                         "(m, F) class to check")
+    _require_bound("f_max", f_max, 3, "(m, F) class")
     classes = collect(f_max, {"strong": StrongClassCollector},
                       frobenius_max=f_max, workers=workers)["strong"].classes
     violations = []
@@ -268,9 +270,7 @@ def ordinarization_sweep(g_max: int, *,
     The monotonicity cells cover g < g_max, so g_max = 0 checks nothing.
     """
     counts = ordinarization_census(g_max, workers=workers)
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "cell to check")
+    _require_bound("g_max", g_max, 1, "cell")
     n_of_g = [0] * (g_max + 1)
     for (g, _r), c in counts.items():
         n_of_g[g] += c
@@ -424,9 +424,7 @@ def pflueger_bound(g: int) -> int:
 def pflueger_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Effective weight against floor((g+1)^2 / 8) for every genus
     1 <= g <= g_max."""
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "genus to check")
+    _require_bound("g_max", g_max, 1, "genus")
     coll = collect(g_max, {"ewt": EwtMaxCollector}, workers=workers)["ewt"]
     violations = []
     rows = []
@@ -520,9 +518,7 @@ def ratio_report(census: CensusTable) -> VerificationReport:
     first checked genus is 2, so a census with g_max < 2 is rejected.
     """
     g_max = _census(census, census.g_max).g_max
-    if g_max < 2:
-        raise ValueError("g_max must be >= 2; smaller bounds leave no "
-                         "genus to check")
+    _require_bound("g_max", g_max, 2, "genus")
     violations = []
     rows = []
     for g in range(2, g_max + 1):
@@ -549,9 +545,7 @@ def ratio_report(census: CensusTable) -> VerificationReport:
 def kunz_oracle_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Tree counts against polytope counts for m <= 9, plus the exact m = 3
     formula for g <= 30."""
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "(m, g) cell to check")
+    _require_bound("g_max", g_max, 1, "(m, g) cell")
     census = enumerate_tree(g_max, workers=workers)
     violations = []
     rows = []
@@ -583,9 +577,7 @@ def recurrence_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
     2g < 3m, 1 <= g <= g_max, 2 <= m <= g + 1.  Bijection: the truncation
     map itself is checked for g <= 15, where it stays cheap.
     """
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "(m, g) cell to check")
+    _require_bound("g_max", g_max, 1, "(m, g) cell")
     census = enumerate_tree(g_max, workers=workers)
     violations = []
     cells = 0
@@ -613,9 +605,7 @@ def recurrence_sweep(g_max: int, *, workers: int = 1) -> VerificationReport:
 def bounds_sweep(g_max: int, *, census: CensusTable | None = None) -> VerificationReport:
     """2 F(g) <= N(g) <= 1 + 3 * 2^(g-3) for 3 <= g <= g_max, and the
     sandwich fibonacci(g+1) = (F < 2m count) and lower bound <= t(g) <= N(g)."""
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1; smaller bounds leave no "
-                         "genus to check")
+    _require_bound("g_max", g_max, 1, "genus")
     census = _census(census, g_max)
     violations = []
     rows = []

@@ -12,6 +12,7 @@ import pytest
 import sgforge as sf
 from sgforge import conjectures
 from sgforge.cli import main
+from test_conjectures import doctor
 
 # verify names that once ran in one process only and rejected --workers;
 # TestOnceSequentialSweeps checks that they now take it like every other name.
@@ -29,6 +30,42 @@ VERIFY_BOUNDS = [
     ("recurrence", "10"),
     ("buchweitz", "10"),
 ]
+
+# The exact stderr line of each verify name at -1 and at one below its least
+# bound.  wilf, bras-amoros and ordinarization walk before they check their
+# bound, so at -1 the walk's own check answers first.
+_NEGATIVE = "error: g_max must be nonnegative\n"
+_GENUS_1 = "error: g_max must be >= 1; smaller bounds leave no genus to check\n"
+_GENUS_2 = "error: g_max must be >= 2; smaller bounds leave no genus to check\n"
+_MG_CELL = ("error: g_max must be >= 1; smaller bounds leave no (m, g) cell "
+            "to check\n")
+_CLASS = ("error: f_max must be >= 3; smaller bounds leave no (m, F) class "
+          "to check\n")
+_CRITERION = "error: g_max must be >= 2; the criterion needs genus >= 2\n"
+VACUOUS_BOUND_ERRORS = {
+    ("bras-amoros", "-1"): _NEGATIVE,
+    ("bras-amoros", "0"): _GENUS_2,
+    ("bras-amoros", "1"): _GENUS_2,
+    ("pflueger", "-1"): _GENUS_1,
+    ("pflueger", "0"): _GENUS_1,
+    ("buchweitz", "-1"): _CRITERION,
+    ("buchweitz", "0"): _CRITERION,
+    ("buchweitz", "1"): _CRITERION,
+    ("ye", "-1"): "error: g_max must be >= 0; smaller bounds leave no genus "
+                  "to check\n",
+    ("wilf", "-1"): _NEGATIVE,
+    ("wilf", "0"): _GENUS_1,
+    ("ordinarization", "-1"): _NEGATIVE,
+    ("ordinarization", "0"): "error: g_max must be >= 1; smaller bounds leave "
+                             "no cell to check\n",
+    ("zhai-lemma", "-1"): _CLASS,
+    ("zhai-lemma", "0"): _CLASS,
+    ("zhai-lemma", "2"): _CLASS,
+    ("kunz-oracle", "-1"): _MG_CELL,
+    ("kunz-oracle", "0"): _MG_CELL,
+    ("recurrence", "-1"): _MG_CELL,
+    ("recurrence", "0"): _MG_CELL,
+}
 
 # The CSV header line of each verify name; None where it prints no table.
 CSV_HEADERS = {
@@ -207,18 +244,34 @@ class TestVerify:
             "stats": {"rows": [[2, 1.0, 2.0], [3, 0.75, 2.0]]},
         }
 
-    @pytest.mark.parametrize("name,bound", [
-        ("bras-amoros", "0"),
-        ("bras-amoros", "1"),
-        ("pflueger", "0"),
-        ("buchweitz", "0"),
-        ("buchweitz", "1"),
-        ("ye", "-1"),
-        ("wilf", "0"),
-        ("ordinarization", "0"),
-    ])
+    @pytest.mark.parametrize("name,bound", list(VACUOUS_BOUND_ERRORS))
     def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
-        one_line_error(capsys, "verify", name, "--max-genus", bound)
+        err = one_line_error(capsys, "verify", name, "--max-genus", bound)
+        assert err == VACUOUS_BOUND_ERRORS[name, bound]
+
+    def test_violation_exits_two_with_witness_lines(self, capsys,
+                                                   monkeypatch):
+        # A doctored class (2, 3) of sixteen nodes with h = g breaks the
+        # lemma's bound 15; its witness is the one stdout line.
+        def edit(found):
+            found["strong"].classes[2, 3] = [(1, 1)] * 16
+        doctor(monkeypatch, conjectures, "collect", edit)
+        code, out, err = run_cli(capsys, "verify", "zhai-lemma",
+                                 "--max-genus", "3")
+        assert code == 2
+        assert out == '{"m": 2, "F": 3, "lhs": 16.0, "rhs": 15.0}\n'
+        assert err == 'verify zhai-lemma: VIOLATIONS ({"f_max": 3})\n'
+
+    @pytest.mark.parametrize("name", conjectures.SWEEPS)
+    def test_vacuous_bound_cases_end_below_the_least_bound(self, capsys,
+                                                           name):
+        # The cases above take each name at -1 and at one below its least
+        # bound: one more than the largest of them runs.
+        bounds = [int(b) for n, b in VACUOUS_BOUND_ERRORS if n == name]
+        assert -1 in bounds
+        code, _, err = run_cli(capsys, "verify", name, "--max-genus",
+                               str(max(bounds) + 1))
+        assert code == 0 and "ok" in err
 
     def test_sweep_table_matches_cli(self, capsys):
         with pytest.raises(SystemExit):
@@ -386,7 +439,8 @@ class TestOnceSequentialSweeps:
         ("recurrence", "0"),
     ])
     def test_vacuous_bound_is_one_line_error(self, capsys, name, bound):
-        one_line_error(capsys, "verify", name, "--max-genus", bound)
+        err = one_line_error(capsys, "verify", name, "--max-genus", bound)
+        assert err == VACUOUS_BOUND_ERRORS[name, bound]
 
 
 class TestWorkerResolution:

@@ -10,12 +10,31 @@ from functools import partial
 import pytest
 
 import sgforge as sf
+from sgforge import conjectures, kunz
 from sgforge.conjectures import (GAMMA, PHI, BuchweitzCollector,
                                  ConcentrationCollector, EwtMaxCollector,
                                  OrdinarizationCollector,
                                  StrongClassCollector)
 from sgforge.errors import AlreadyOrdinary, IncompleteCensus
+from test_kunz import DOCTORED_VECTORS, DOCTORED_WITNESSES
 from test_tree import FIG1, NodeLog, brute_force_gapsets
+
+
+def doctor(monkeypatch, module, name, edit):
+    """Make ``module.name`` pass its result through ``edit`` first: a
+    doctored input that reaches a sweep's violation branch."""
+    real = getattr(module, name)
+
+    def call(*args, **kwargs):
+        found = real(*args, **kwargs)
+        edit(found)
+        return found
+    monkeypatch.setattr(module, name, call)
+
+
+def add_to_n(table, g, k):
+    # N(g) sums the t(g, h) row: k more childless semigroups of genus g.
+    table.t_gh_flat[g * (table.g_max + 3)] += k
 
 
 class TestWilf:
@@ -84,6 +103,24 @@ class TestYeIdentity:
         with pytest.raises(IncompleteCensus):
             sf.ye_identity(21, census22)
 
+    def test_negative_genus_rejected(self, census16):
+        with pytest.raises(ValueError, match="g must be nonnegative"):
+            sf.ye_identity(-1, census16)
+
+    def test_doctored_census_breaks_identity_and_corollary(self):
+        # Ten more childless genus-1 semigroups: N(1) = 11 lifts the right
+        # side at g = 0 from 2 to 12, and N(2) = 2 < N(1) - N(0) = 10 breaks
+        # the corollary there.  At g = 1 their correction terms, 1 each,
+        # make up for the smaller N(2) - N(1), so the identity still holds.
+        table = sf.enumerate_tree(3)
+        add_to_n(table, 1, 10)
+        report = sf.ye_sweep(1, census=table)
+        assert report.ok is False
+        assert report.violations == [
+            {"g": 0, "lhs": 2, "rhs": 12},
+            {"g": 0, "corollary": "N(g+2) >= N(g+1) - N(g)"},
+        ]
+
 
 class TestZhaiLemma:
     def test_explicit_class(self):
@@ -128,6 +165,16 @@ class TestZhaiLemma:
         assert sf.zhai_sweep(3).stats["cells"] == 1
         with pytest.raises(ValueError):
             sf.zhai_sweep(2)
+
+    def test_doctored_class_is_a_violation(self, monkeypatch):
+        # Sixteen nodes with h = g in class (2, 3) sum to 16 > 5 * 3 = 15.
+        def edit(found):
+            found["strong"].classes[2, 3] = [(1, 1)] * 16
+        doctor(monkeypatch, conjectures, "collect", edit)
+        report = sf.zhai_sweep(3)
+        assert report.ok is False
+        assert report.violations == [{"m": 2, "F": 3, "lhs": 16.0,
+                                      "rhs": 15.0}]
 
 
 class TestOrdinarization:
@@ -181,6 +228,18 @@ class TestOrdinarization:
         assert sf.ordinarization_sweep(1).stats["levels"] == {0: 1, 1: 1}
         with pytest.raises(ValueError):
             sf.ordinarization_sweep(0)
+
+    def test_doctored_counts_break_root_and_monotonicity(self, monkeypatch):
+        # Two genus-1 roots: n(1, 0) = 2 != 1, and 2 > n(2, 0) = 1.
+        def edit(found):
+            found["ordinarization"].counts[1, 0] = 2
+        doctor(monkeypatch, conjectures, "collect", edit)
+        report = sf.ordinarization_sweep(2)
+        assert report.ok is False
+        assert report.violations == [
+            {"g": 1, "issue": "root count != 1", "count": 2},
+            {"g": 1, "r": 0, "n_g_r": 2, "n_g1_r": 1},
+        ]
 
     def test_popcount_matches_step_simulation(self):
         table = sf.enumerate_tree(16, collectors={"log": FrameLog})
@@ -528,6 +587,7 @@ import multiprocessing
 import os
 from functools import partial
 import sgforge as sf
+from sgforge import conjectures, kunz
 from sgforge.conjectures import ConcentrationCollector
 
 def state(colls):
@@ -577,6 +637,18 @@ class TestPflueger:
         assert sf.pflueger_sweep(1).stats["rows"] == [(1, 0, 0)]
         with pytest.raises(ValueError):
             sf.pflueger_sweep(0)
+
+    def test_doctored_maximum_is_a_violation(self, monkeypatch):
+        # The genus-1 maximum raised above its bound 0 is reported with
+        # the argmax's gaps and generators, <2, 3>.
+        def edit(found):
+            found["ewt"].max_by_genus[1] = 1
+        doctor(monkeypatch, conjectures, "collect", edit)
+        report = sf.pflueger_sweep(2)
+        assert report.ok is False
+        assert report.violations == [{"g": 1, "max_ewt": 1, "bound": 0,
+                                      "gaps": [1], "generators": [2, 3]}]
+        assert report.stats["rows"] == [(1, 1, 0), (2, 1, 1)]
 
 
 class TestConcentration:
@@ -664,6 +736,20 @@ class TestRatioReport:
         with pytest.raises(ValueError):
             sf.ratio_report(sf.enumerate_tree(1))
 
+    def test_doctored_census_breaks_all_three_checks(self):
+        # N(3) = 14 leaves N(4) = 7 below both N(3) + N(2) and N(3), and
+        # N(2, 1) = 6 exceeds N(2, 2) = 1.
+        table = sf.enumerate_tree(4)
+        add_to_n(table, 3, 10)
+        table.n_mg_flat[2 * (table.g_max + 1) + 1] += 5
+        report = sf.ratio_report(table)
+        assert report.ok is False
+        assert report.violations == [
+            {"g": 4, "issue": "N(g) < N(g-1) + N(g-2)"},
+            {"g": 4, "issue": "N(g) < N(g-1)"},
+            {"m": 2, "g": 1, "issue": "N(m, g) > N(m, g+1)"},
+        ]
+
     def test_report_json_shape(self, census16):
         data = sf.ratio_report(census16).to_json()
         assert data["ok"] is True
@@ -719,13 +805,63 @@ class TestOracleSweeps:
     def test_bounds(self, census16):
         assert sf.bounds_sweep(16, census=census16).ok
 
+    def test_doctored_census_breaks_all_three_bounds(self):
+        # F < 2m at genus 1 counted twice against fibonacci(2) = 1; t(2) = 3
+        # above N(2) = 2; N(3) = 5 above 1 + 3 * 2^0 = 4.
+        table = sf.enumerate_tree(4)
+        table.f_lt_2m[1] += 1
+        table.f_lt_3m[2] += 1
+        add_to_n(table, 3, 1)
+        report = sf.bounds_sweep(3, census=table)
+        assert report.ok is False
+        assert report.violations == [
+            {"g": 1, "issue": "F < 2m count != fibonacci(g+1)", "count": 2},
+            {"g": 2, "issue": "lower bound ordering", "zhao": 2, "t": 3,
+             "n": 2},
+            {"g": 3, "lower": 4, "n": 5, "upper": 4},
+        ]
+
+    def test_doctored_polytope_breaks_tree_and_formula(self, monkeypatch):
+        # One extra polytope point at (3, 4) disagrees with the tree's
+        # N(3, 4) = 2 and with the ceiling formula ceil(5 / 3) = 2.
+        real = conjectures.count_by_polytope
+        monkeypatch.setattr(conjectures, "count_by_polytope",
+                            lambda m, g: real(m, g) + ((m, g) == (3, 4)))
+        report = sf.kunz_oracle_sweep(4)
+        assert report.ok is False
+        assert report.violations == [
+            {"m": 3, "g": 4, "polytope": 3, "tree": 2},
+            {"m": 3, "g": 4, "issue": "ceiling formula", "expected": 2},
+        ]
+        assert (3, 4, 3, 2, 0) in report.stats["rows"]
+
+    def test_doctored_census_breaks_recurrence_counts(self, monkeypatch):
+        # N(2, 2) = 2 against N(1, 1) + N(1, 0) = 0 + 1.
+        def edit(table):
+            table.n_mg_flat[2 * (table.g_max + 1) + 2] += 1
+        doctor(monkeypatch, conjectures, "enumerate_tree", edit)
+        report = sf.recurrence_sweep(2)
+        assert report.ok is False
+        assert report.violations == [{"m": 2, "g": 2, "lhs": 1, "rhs": 2}]
+
+    def test_doctored_vectors_break_recurrence_bijection(self, monkeypatch):
+        # The sweep reports the witnesses of recurrence_bijection_check(3, 2)
+        # (see test_kunz.py) as its violations.
+        monkeypatch.setattr(kunz, "kunz_vectors",
+                            lambda m, g: iter(DOCTORED_VECTORS.get((m, g), ())))
+        report = sf.recurrence_sweep(2)
+        assert report.ok is False
+        assert report.violations == DOCTORED_WITNESSES
+
     @pytest.mark.parametrize("g_max", [0, -1])
     def test_bounds_vacuous_bound_rejected(self, census16, g_max):
         # Its rows start at genus 1, so a smaller bound checks nothing,
         # whether or not a census is given.
         for census in (None, census16):
-            with pytest.raises(ValueError, match="g_max must be >= 1"):
+            with pytest.raises(ValueError) as err:
                 sf.bounds_sweep(g_max, census=census)
+            assert str(err.value) == ("g_max must be >= 1; smaller bounds "
+                                      "leave no genus to check")
 
     @pytest.mark.parametrize("sweep", ["zhai_sweep", "kunz_oracle_sweep",
                                        "recurrence_sweep"])

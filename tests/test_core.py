@@ -378,6 +378,10 @@ class TestOrdinary:
             assert s.genus == g
             assert s.efficacy == g + 1
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            sf.ordinary(-1)
+
 
 class TestRecordAndDunder:
     def test_record_field_order(self):
@@ -402,6 +406,15 @@ class TestRecordAndDunder:
         assert a == b
         assert hash(a) == hash(b)
         assert a != sf.from_generators({2, 5})
+
+    def test_eq_with_another_type_is_false(self):
+        # __eq__ returns NotImplemented, and Python falls back to identity.
+        s = sf.from_generators({3, 5})
+        assert (s == 3) is False and s != 3
+
+    def test_negative_integers_are_not_members(self):
+        s = sf.from_generators({3, 5})
+        assert -1 not in s and 0 in s
 
     def test_genus_counts_gaps_below_frobenius(self):
         for s in all_semigroups(9):

@@ -91,6 +91,10 @@ class TestAkFamilies:
         assert sf.enumerate_Ak(2) == [(0,)]
         assert sf.enumerate_Ak(3) == [(0,), (0, 1), (0, 2)]
 
+    def test_nonpositive_k_rejected(self):
+        with pytest.raises(OutOfRange, match="k must be positive"):
+            sf.enumerate_Ak(0)
+
     def test_counts_follow_pair_structure(self):
         for k in range(1, 12):
             expected = 3 ** ((k - 1) // 2)
@@ -126,6 +130,10 @@ class TestZhaoLowerBound:
 
     def test_g3(self):
         assert sf.zhao_lower_bound(3) == 4
+
+    def test_nonpositive_genus_rejected(self):
+        with pytest.raises(OutOfRange, match="g must be positive"):
+            sf.zhao_lower_bound(0)
 
     def test_fibonacci_index_is_positive(self):
         # A + A misses k and A holds 0, so the index is at least g - 2k.

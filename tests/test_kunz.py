@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 import sgforge as sf
+from sgforge import kunz
 from sgforge.errors import (DimensionMismatch, InvalidKunz, MultiplicityOne,
                             PreconditionViolated)
 from test_acceptance import A007323
@@ -256,6 +257,18 @@ class TestTailRecords:
                     == sf.count_by_polytope(m, g), (m, g)
 
 
+# Kunz slices for recurrence_bijection_check(3, 2): (1, 2) shares its image
+# (1,) with (1, 1), (4, 0) maps to (4,) outside the targets, and the target
+# (7,) is never hit.
+DOCTORED_VECTORS = {(3, 2): [(1, 1), (1, 2), (4, 0)], (2, 1): [(1,)],
+                    (2, 0): [(7,)]}
+DOCTORED_WITNESSES = [
+    {"kind": "collision", "m": 3, "g": 2, "vector": [1, 2], "other": [1, 1]},
+    {"kind": "image-outside-target", "m": 3, "g": 2, "vector": [4, 0]},
+    {"kind": "never-hit", "m": 3, "g": 2, "target": [7]},
+]
+
+
 class TestRecurrenceBijection:
     @pytest.mark.parametrize("m,g", [(7, 10), (9, 10), (3, 3), (5, 7), (8, 11)])
     def test_examples_hold(self, m, g):
@@ -267,6 +280,12 @@ class TestRecurrenceBijection:
             sf.recurrence_bijection_check(5, 8)       # 2g = 16 >= 15 = 3m
         with pytest.raises(PreconditionViolated):
             sf.recurrence_bijection_check(2, 1)
+
+    def test_doctored_slices_give_every_witness_kind(self, monkeypatch):
+        monkeypatch.setattr(kunz, "kunz_vectors",
+                            lambda m, g: iter(DOCTORED_VECTORS.get((m, g), ())))
+        assert sf.recurrence_bijection_check(3, 2) \
+            == (False, DOCTORED_WITNESSES)
 
     def test_counts_consistency(self, census16):
         # Where the bijection applies, the two target slices partition the

@@ -484,6 +484,10 @@ class TestNsByFrobenius:
     def test_minimal_bound(self):
         assert sf.ns_by_frobenius(1) == {1: 1}
 
+    def test_zero_bound_rejected(self):
+        with pytest.raises(ValueError, match="f_max must be positive"):
+            sf.ns_by_frobenius(0)
+
 
 # -- the count-only walk -----------------------------------------------------
 
@@ -962,6 +966,18 @@ class TestValidation:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             sf.enumerate_tree(-1)
+
+    @pytest.mark.parametrize("accessor", [
+        lambda t, g: t.n(g), lambda t, g: t.t(g), lambda t, g: t.s(g),
+        lambda t, g: t.n_mg(2, g), lambda t, g: t.t_gh(g, 2),
+        lambda t, g: t.s_gh(g, 2),
+    ], ids=["n", "t", "s", "n_mg", "t_gh", "s_gh"])
+    def test_accessors_outside_the_genus_range(self, census16, accessor):
+        # The genus is checked before any second index.
+        for g in (-1, 17):
+            with pytest.raises(IncompleteCensus, match=f"genus {g} outside "
+                               "enumerated range 0..16"):
+                accessor(census16, g)
 
     @pytest.mark.parametrize("f_max", [-1, -3])
     def test_negative_frobenius_bound(self, f_max):
