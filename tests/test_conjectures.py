@@ -587,7 +587,6 @@ import multiprocessing
 import os
 from functools import partial
 import sgforge as sf
-from sgforge import conjectures, kunz
 from sgforge.conjectures import ConcentrationCollector
 
 def state(colls):
