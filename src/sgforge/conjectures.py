@@ -63,8 +63,8 @@ def _census(census: CensusTable | None, g_max: int,
 def _require_bound(name: str, bound: int, least: int, what: str) -> None:
     # The one rule for a sweep bound under which nothing would be checked.
     if bound < least:
-        raise ValueError(f"{name} must be >= {least}; smaller bounds leave "
-                         f"no {what} to check")
+        raise ValueError(f"{name} must be >= {least}; "
+                         f"smaller bounds leave no {what} to check")
 
 
 def _add_counts(mine: dict, theirs: dict) -> None:
